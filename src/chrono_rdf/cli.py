@@ -131,7 +131,11 @@ def _cmd_materialize(args: argparse.Namespace) -> int:
             raise NoHistory(entity)
         floor = history.index_at(args.at)
         if floor is None:
-            raise BeforeCreation(entity, args.at, history.creation.generated_at)
+            raise BeforeCreation(
+                entity,
+                format_timestamp(args.at),
+                format_timestamp(history.creation.generated_at),
+            )
         graphs, warnings = cached_chain(
             entity, ctx.entity_quads(entity), history, floor, ctx.cache
         )
@@ -333,8 +337,16 @@ def main(argv: list[str] | None = None) -> int:
     parser = build_parser()
     try:
         args = parser.parse_args(argv)
-        if getattr(args, "format", "json") == "nquads" and not getattr(args, "at", None):
+        at = getattr(args, "at", None)
+        since, until = getattr(args, "since", None), getattr(args, "until", None)
+        if getattr(args, "format", "json") == "nquads" and not at:
             parser.error("--format nquads requires --at")
+        if at is not None and (since is not None or until is not None):
+            parser.error("--at names one instant; it cannot be combined with --from or --to")
+        if since is not None and until is not None and since > until:
+            parser.error(
+                f"--from {format_timestamp(since)} lies after --to {format_timestamp(until)}"
+            )
     except SystemExit as exc:
         return int(exc.code or 0)
     try:

@@ -4,8 +4,8 @@ A delta query names entities through a SPARQL query, optionally narrows
 to a set of properties and a time interval, and gets back one record per
 snapshot in which a relevant entity changed.  Discovery works like the
 version pipeline so that entities deleted from the current data are
-still found, but entities surfaced by textual search alone are not
-materialised; their identity is all a change report needs.
+still found, but entities surfaced by the stored updates' terms alone
+are not materialised; their identity is all a change report needs.
 
 Each record carries the net change of that snapshot for that entity:
 what the update inserted minus what it deleted, and the reverse.  A

@@ -17,7 +17,7 @@ from __future__ import annotations
 import hashlib
 from dataclasses import dataclass, field
 from datetime import datetime, timezone
-from typing import Iterable, Sequence
+from typing import Callable, Iterable, Sequence
 
 from .errors import BadDelta, BrokenChain, NoHistory, NoSuchSnapshot
 from .rdf_model import GraphSet, Quad, Term, escape_iri, quad_line
@@ -206,16 +206,34 @@ def _one(values: set[str], snapshot: str, what: str) -> str:
     return next(iter(values))
 
 
-def load_history(entity: str, provenance: Iterable[Quad]) -> EntityHistory:
-    """Assemble the ordered snapshot chain of one entity.
+def parse_delta(snapshot_id: str, text: str) -> Delta:
+    """Parse the update string stored on one snapshot.
 
-    Provenance quads may sit in any graph.  Raises NoHistory when no
-    snapshot specialises the entity, BrokenChain when the metadata does
-    not determine a single valid order, and BadDelta when an update
-    string does not parse as a ground update.
+    Blank node labels are scoped to the snapshot.  Raises BadDelta when
+    the text does not parse as a ground update.
     """
     from .sparql_engine import parse_update
 
+    try:
+        return parse_update(text, blank_scope=_scope_label(snapshot_id))
+    except Exception as exc:  # stored text is outside input: any failure is BadDelta
+        raise BadDelta(snapshot_id, exc)
+
+
+def load_history(
+    entity: str,
+    provenance: Iterable[Quad],
+    parse: Callable[[str, str], Delta] = parse_delta,
+) -> EntityHistory:
+    """Assemble the ordered snapshot chain of one entity.
+
+    Provenance quads may sit in any graph.  `parse` turns a snapshot id
+    and its update string into a Delta; a caller that already parsed the
+    string can hand back that result.  Raises NoHistory when no snapshot
+    specialises the entity, BrokenChain when the metadata does not
+    determine a single valid order, and BadDelta when an update string
+    does not parse as a ground update.
+    """
     by_subject: dict[Term, dict[str, set[Term]]] = {}
     snapshot_ids: list[Term] = []
     seen_ids: set[Term] = set()
@@ -264,11 +282,7 @@ def load_history(entity: str, provenance: Iterable[Quad]) -> EntityHistory:
         update = None
         update_values = values(OCO_HAS_UPDATE_QUERY)
         if update_values:
-            text = _one(update_values, sid, "update query")
-            try:
-                update = parse_update(text, blank_scope=_scope_label(sid))
-            except Exception as exc:
-                raise BadDelta(sid, exc)
+            update = parse(sid, _one(update_values, sid, "update query"))
 
         source_values = values(HAD_PRIMARY_SOURCE) | values(HAS_PRIMARY_SOURCE)
         derived_values = values(WAS_DERIVED_FROM)

@@ -415,29 +415,49 @@ def parse_nquads(text: str) -> GraphSet:
 
     Prefixed names are not part of N-Quads and raise ParseError.  Graph
     labels must be IRIs because the quad model has no blank graph names.
+    Terms are interned per document: each distinct IRI or literal
+    becomes one Term object and each graph name one string, however
+    often it occurs.
     """
     sc = Scanner(text)
     quads: set[Quad] = set()
+    iris: dict[str, Term] = {}
+    literals: dict[tuple[str, str | None, str | None], Term] = {}
+    graphs: dict[str, str] = {}
+
+    def read_iri_term() -> Term:
+        value = sc.read_iriref()
+        term = iris.get(value)
+        if term is None:
+            if not is_absolute_iri(value):
+                raise sc.error(f"relative IRI {value!r} in N-Quads")
+            term = iris[value] = Term("iri", value)
+        return term
+
+    def read_literal() -> Term:
+        value = sc.read_string()
+        datatype = language = None
+        if sc.peek() == "@":
+            language = sc.read_langtag()
+        elif sc.peek() == "^" and sc.peek(1) == "^":
+            sc.pos += 2
+            if sc.peek() != "<":
+                raise sc.error("datatype must be a full IRI in N-Quads")
+            datatype = read_iri_term().value
+        key = (value, datatype, language)
+        term = literals.get(key)
+        if term is None:
+            term = literals[key] = Term("literal", value, datatype, language)
+        return term
 
     def read_term(allow_literal: bool) -> Term:
         ch = sc.peek()
         if ch == "<":
-            value = sc.read_iriref()
-            if not is_absolute_iri(value):
-                raise sc.error(f"relative IRI {value!r} in N-Quads")
-            return Term("iri", value)
+            return read_iri_term()
         if ch == "_":
             return Term("blank", sc.read_blank_label())
         if ch in "\"'" and allow_literal:
-            value = sc.read_string()
-            def resolve_dt() -> str:
-                if sc.peek() != "<":
-                    raise sc.error("datatype must be a full IRI in N-Quads")
-                dt = sc.read_iriref()
-                if not is_absolute_iri(dt):
-                    raise sc.error(f"relative datatype IRI {dt!r}")
-                return dt
-            return _finish_literal(sc, value, resolve_dt)
+            return read_literal()
         raise sc.error(f"unexpected character {ch!r} in N-Quads statement")
 
     while True:
@@ -455,8 +475,11 @@ def parse_nquads(text: str) -> GraphSet:
         graph: str | None = None
         if sc.peek() == "<":
             graph = sc.read_iriref()
-            if not is_absolute_iri(graph):
-                raise sc.error(f"relative graph IRI {graph!r}")
+            if graph not in graphs:
+                if not is_absolute_iri(graph):
+                    raise sc.error(f"relative graph IRI {graph!r}")
+                graphs[graph] = graph
+            graph = graphs[graph]
             sc.skip_space()
         elif sc.peek() == "_":
             raise sc.error("blank node graph labels are not supported")

@@ -4,8 +4,9 @@ A source is either a local file (N-Quads or Turtle, by extension) or a
 SPARQL endpoint (http or https URL).  Data sources hold the live state;
 provenance sources hold the snapshot metadata.  A Context bundles any
 number of both behind one memoising facade: per-entity quads, loaded
-histories, the flat list of update strings for textual search, plus the
-optional version cache and text index.
+histories, the parsed update of every snapshot, an index from each term
+those updates mention to the snapshots that mention it, plus the
+optional version cache.
 
 Endpoint access keeps to the SPARQL 1.1 protocol: queries go out as
 POST form data and answers come back as application/sparql-results+json.
@@ -19,17 +20,19 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Iterable, Mapping, Sequence
+from typing import Mapping, Sequence
 
 import requests
 
 from .cache import VersionCache
-from .errors import CacheIO, ConfigError, NetworkError, NoHistory, ParseError
+from .errors import BadDelta, CacheIO, ConfigError, NetworkError, NoHistory, ParseError
 from .provenance import (
     OCO_HAS_UPDATE_QUERY,
     SPECIALIZATION_OF,
+    Delta,
     EntityHistory,
     load_history,
+    parse_delta,
 )
 from .rdf_model import GraphSet, Quad, Term, Triple, parse_document
 from .sparql_engine import (
@@ -64,14 +67,12 @@ class SourceConfig:
     data: tuple[str, ...]
     provenance: tuple[str, ...]
     cache_dir: str | None = None
-    text_index: bool = False
     explosion_limit: int = DEFAULT_EXPLOSION_LIMIT
     http_timeout: float = 30.0
 
     @classmethod
     def from_mapping(cls, raw: Mapping) -> "SourceConfig":
-        known = {"data", "provenance", "cache_dir", "text_index",
-                 "explosion_limit", "http_timeout"}
+        known = {"data", "provenance", "cache_dir", "explosion_limit", "http_timeout"}
         unknown = set(raw) - known
         if unknown:
             raise ConfigError(f"unknown configuration keys: {', '.join(sorted(unknown))}")
@@ -84,9 +85,6 @@ class SourceConfig:
         cache_dir = raw.get("cache_dir")
         if cache_dir is not None and not isinstance(cache_dir, str):
             raise ConfigError("'cache_dir' must be a string path")
-        text_index = raw.get("text_index", False)
-        if not isinstance(text_index, bool):
-            raise ConfigError("'text_index' must be true or false")
         limit = raw.get("explosion_limit", DEFAULT_EXPLOSION_LIMIT)
         if not isinstance(limit, int) or isinstance(limit, bool) or limit < 1:
             raise ConfigError("'explosion_limit' must be a positive integer")
@@ -97,7 +95,6 @@ class SourceConfig:
             data=tuple(raw["data"]),
             provenance=tuple(raw["provenance"]),
             cache_dir=cache_dir,
-            text_index=text_index,
             explosion_limit=limit,
             http_timeout=float(timeout),
         )
@@ -121,7 +118,6 @@ class SourceConfig:
             "data": list(self.data),
             "provenance": list(self.provenance),
             "cache_dir": self.cache_dir,
-            "text_index": self.text_index,
             "explosion_limit": self.explosion_limit,
             "http_timeout": self.http_timeout,
         }
@@ -134,33 +130,6 @@ class DeltaRecord:
     entity: str
     snapshot: str
     text: str
-
-
-class TextIndex:
-    """Substring lookup over stored update strings.
-
-    lookup(form) returns every (entity, snapshot) whose update text
-    contains the N-Triples rendering `form`.  Postings are computed on
-    first use per form and memoised, so the index answers exactly like a
-    direct scan while amortising repeated lookups.
-    """
-
-    def __init__(self, records: Sequence[DeltaRecord]):
-        self.records = tuple(records)
-        self._postings: dict[str, frozenset[tuple[str, str]]] = {}
-
-    def lookup(self, form: str) -> frozenset[tuple[str, str]]:
-        hit = self._postings.get(form)
-        if hit is None:
-            hit = frozenset(
-                (r.entity, r.snapshot) for r in self.records if form in r.text
-            )
-            self._postings[form] = hit
-        return hit
-
-    def prime(self, forms: Iterable[str]) -> None:
-        for form in forms:
-            self.lookup(form)
 
 
 def _is_endpoint(location: str) -> bool:
@@ -401,20 +370,19 @@ class Context:
         data_sources: Sequence,
         provenance_sources: Sequence,
         cache: VersionCache | None = None,
-        text_index_enabled: bool = False,
         explosion_limit: int = DEFAULT_EXPLOSION_LIMIT,
         warnings: Sequence[str] = (),
     ):
         self.data_sources = list(data_sources)
         self.provenance_sources = list(provenance_sources)
         self.cache = cache
-        self.text_index_enabled = text_index_enabled
         self.explosion_limit = explosion_limit
         self.warnings = list(warnings)
         self._entity_quads: dict[str, frozenset[Quad]] = {}
         self._histories: dict[str, EntityHistory | None] = {}
         self._records: tuple[DeltaRecord, ...] | None = None
-        self._index: TextIndex | None = None
+        self._deltas: dict[str, Delta] = {}
+        self._postings: dict[Term, frozenset[tuple[str, str]]] = {}
         self._local_index: TripleIndex | None = None
 
     # -- data ---------------------------------------------------------
@@ -487,27 +455,56 @@ class Context:
             history = None
         else:
             try:
-                history = load_history(entity, frozenset(quads))
+                history = load_history(entity, frozenset(quads), parse=self._delta)
             except NoHistory:
                 history = None
         self._histories[entity] = history
         return history
 
+    def _delta(self, snapshot: str, text: str) -> Delta:
+        """The parsed update of one snapshot, parsed once per context."""
+        delta = self._deltas.get(snapshot)
+        if delta is None or delta.source_text != text:
+            delta = parse_delta(snapshot, text)
+            self._deltas[snapshot] = delta
+        return delta
+
     def delta_records(self) -> tuple[DeltaRecord, ...]:
+        """Every stored update string; the first call also builds term_postings."""
         if self._records is None:
             records: list[DeltaRecord] = []
             for source in self.provenance_sources:
                 records.extend(source.delta_records())
             self._records = tuple(records)
+            self._postings = self._index_terms(self._records)
         return self._records
 
-    @property
-    def text_index(self) -> TextIndex | None:
-        if not self.text_index_enabled:
-            return None
-        if self._index is None:
-            self._index = TextIndex(self.delta_records())
-        return self._index
+    def term_postings(self) -> dict[Term, frozenset[tuple[str, str]]]:
+        """Each IRI or literal to the (entity, snapshot) pairs whose update holds it.
+
+        Terms are read from the parsed update, so every spelling the
+        update grammar accepts for a term lands under that one term.
+        Updates that do not parse are left out; loading the history of
+        their entity raises BadDelta.
+        """
+        self.delta_records()
+        return self._postings
+
+    def _index_terms(
+        self, records: Sequence[DeltaRecord]
+    ) -> dict[Term, frozenset[tuple[str, str]]]:
+        postings: dict[Term, set[tuple[str, str]]] = {}
+        for record in records:
+            try:
+                delta = self._delta(record.snapshot, record.text)
+            except BadDelta:
+                continue
+            pair = (record.entity, record.snapshot)
+            for q in delta.deletes + delta.inserts:
+                for term in (q.subject, q.predicate, q.object):
+                    if not term.is_blank:
+                        postings.setdefault(term, set()).add(pair)
+        return {term: frozenset(pairs) for term, pairs in postings.items()}
 
 
 def load_sources(config: SourceConfig) -> Context:
@@ -538,7 +535,6 @@ def load_sources(config: SourceConfig) -> Context:
         data_sources=data_sources,
         provenance_sources=provenance_sources,
         cache=cache,
-        text_index_enabled=config.text_index,
         explosion_limit=config.explosion_limit,
         warnings=warnings,
     )
@@ -548,7 +544,6 @@ def memory_context(
     data: GraphSet,
     provenance: GraphSet,
     cache: VersionCache | None = None,
-    text_index: bool = False,
     explosion_limit: int = DEFAULT_EXPLOSION_LIMIT,
 ) -> Context:
     """A context over in-memory quad sets; the library-level entry point."""
@@ -558,6 +553,5 @@ def memory_context(
         data_sources=[data_source],
         provenance_sources=[prov_source],
         cache=cache,
-        text_index_enabled=text_index,
         explosion_limit=explosion_limit,
     )

@@ -9,8 +9,9 @@ Second, the relevant entities are discovered.  Joined patterns start
 from the subject IRIs and recursively promote every IRI bound to a
 variable that appears in subject position, materialising versions as
 they go.  Isolated patterns cannot be chased that way, so their ground
-terms are searched textually inside all stored update strings, which
-also surfaces entities that no longer exist in the current data.
+terms are looked up in the context's index of the terms every parsed
+stored update mentions, which also surfaces entities that no longer
+exist in the current data.
 Third, each entity's versions are aligned on the global list of snapshot
 times: an entity that did not change at time t keeps its previous state,
 copied forward, and all states that share a time are merged into one
@@ -38,7 +39,7 @@ from .materializer import (
 )
 from .provenance import EntityHistory, format_timestamp
 from .rdf_model import GraphSet, Term
-from .sources import Context, DeltaRecord, TextIndex
+from .sources import Context
 from .sparql_engine import (
     ParsedQuery,
     SolutionSet,
@@ -142,28 +143,21 @@ def classify(query: ParsedQuery) -> QueryPlan:
 
 def search_deltas(
     known_terms: Iterable[Term],
-    records: Sequence[DeltaRecord],
-    index: TextIndex | None = None,
+    postings: Mapping[Term, frozenset[tuple[str, str]]],
 ) -> frozenset[tuple[str, str]]:
-    """(entity, snapshot) pairs whose update text contains every term.
+    """(entity, snapshot) pairs whose parsed update mentions every term.
 
-    Terms are rendered in N-Triples syntax, the same notation ground
-    updates are written in, and matched as plain substrings.  With an
-    index the answer is identical to a direct scan, just memoised.
+    `postings` maps each term to the pairs whose update mentions it, as
+    Context.term_postings builds it; the answer is the intersection of
+    the terms' postings, smallest first.
     """
-    forms = sorted(term.n3() for term in known_terms)
-    if not forms:
+    hits = sorted((postings.get(term, frozenset()) for term in set(known_terms)), key=len)
+    if not hits:
         return frozenset()
-    if index is not None:
-        found = index.lookup(forms[0])
-        for form in forms[1:]:
-            found = found & index.lookup(form)
-        return frozenset(found)
-    return frozenset(
-        (r.entity, r.snapshot)
-        for r in records
-        if all(form in r.text for form in forms)
-    )
+    found = hits[0]
+    for more in hits[1:]:
+        found = found & more
+    return found
 
 
 @dataclass(frozen=True)
@@ -245,18 +239,17 @@ def explicate(
     """Discover the entities a query touches and rebuild their versions.
 
     Seeds and entities promoted through joined patterns are always
-    materialised; entities found by textual delta search are only
-    materialised in version modes, because delta queries need just their
-    identity.  Raises ExplosionLimit when more entities than allowed
-    turn up.
+    materialised; entities found through the stored updates' terms are
+    only materialised in version modes, because delta queries need just
+    their identity.  Raises ExplosionLimit when more entities than
+    allowed turn up.
     """
     queue: deque[tuple[str, bool]] = deque((s, True) for s in sorted(plan.seeds))
-    records = ctx.delta_records()
-    for pattern in plan.isolated:
-        if pattern.optional_group is not None:
-            continue  # an optional match must never pull in new entities
-        known = frozenset(pattern.ground_terms())
-        found = {e for e, _snap in search_deltas(known, records, ctx.text_index)}
+    # an optional match must never pull in new entities
+    searched = [p for p in plan.isolated if p.required]
+    postings = ctx.term_postings() if searched else {}
+    for pattern in searched:
+        found = {e for e, _snap in search_deltas(pattern.ground_terms(), postings)}
         found |= ctx.match_subjects(pattern)
         materialize = mode != "delta"
         for entity in sorted(found):
@@ -272,8 +265,8 @@ def explicate(
         if entity in versions:
             if versions[entity] is not None or not materialize:
                 continue
-            # first seen through textual search, now reached through a
-            # joined pattern as well, so its versions are needed after all
+            # first found through the updates' terms, now reached through
+            # a joined pattern as well, so its versions are needed after all
         elif len(versions) >= ctx.explosion_limit:
             raise ExplosionLimit(ctx.explosion_limit)
         if not materialize:

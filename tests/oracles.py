@@ -12,7 +12,7 @@ from collections import Counter
 from typing import Iterable, Mapping
 
 from chrono_rdf import GraphSet, ParsedQuery, SolutionSet, Term
-from chrono_rdf.sparql_engine import TriplePattern, Variable
+from chrono_rdf.sparql_engine import TriplePattern, Variable, parse_update
 
 
 def _match_term(pattern_term, term: Term, env: dict):
@@ -165,3 +165,36 @@ def dataset_brute(entities: Mapping, when, restrict: Iterable[str] | None = None
         if best:
             merged |= best[1]
     return frozenset(merged)
+
+
+def _update_terms(text: str) -> set[Term]:
+    """Subjects, predicates and objects of the quads an update string
+    parses to; none when it does not parse.  Graph names are not terms of
+    a quad."""
+    try:
+        delta = parse_update(text)
+    except Exception:
+        return set()
+    return {t for q in delta.deletes + delta.inserts for t in (q.subject, q.predicate, q.object)}
+
+
+def parsed_term_search(terms: Iterable[Term], records) -> frozenset[tuple[str, str]]:
+    """(entity, snapshot) of every record whose parsed update holds all
+    terms, parsing each record anew."""
+    wanted = set(terms)
+    if not wanted:
+        return frozenset()
+    return frozenset(
+        (r.entity, r.snapshot) for r in records if wanted <= _update_terms(r.text)
+    )
+
+
+def parsed_term_postings(records) -> dict[Term, frozenset[tuple[str, str]]]:
+    """Each IRI or literal to the (entity, snapshot) of every record whose
+    parsed update holds it, parsing each record anew."""
+    out: dict[Term, set] = {}
+    for r in records:
+        for term in _update_terms(r.text):
+            if not term.is_blank:
+                out.setdefault(term, set()).add((r.entity, r.snapshot))
+    return {term: frozenset(pairs) for term, pairs in out.items()}

@@ -15,7 +15,7 @@ from datetime import timedelta
 import pytest
 
 from conftest import HAS_VALUE, ID, ID_GRAPH, RIGHT_DOI, WRONG_DOI, XSD_STRING
-from oracles import oracle_classify, version_diffs
+from oracles import oracle_classify, parsed_term_postings, parsed_term_search, version_diffs
 from query_corpus import CASES
 
 from chrono_rdf import (
@@ -41,6 +41,7 @@ from chrono_rdf import (
     search_deltas,
     serialize,
 )
+from chrono_rdf import version_query
 from chrono_rdf.benchgen import (
     DATACITE_DOI,
     DATACITE_ISSN,
@@ -361,7 +362,13 @@ def test_criterion_7_cache_transparency(small_world, big_world, tmp_path, announ
     announce(7)
 
 
-def test_criterion_8_text_index_transparency(small_world, announce):
+def test_criterion_8_text_index_transparency(small_world, announce, monkeypatch):
+    """The term index answers exactly like the parsed-term reference.
+
+    Version and delta queries give the same answers whether discovery
+    reads the context's index or the reference that parses every stored
+    update anew, and the index itself equals the reference, term by term.
+    """
     texts = [
         scheme_query(DATACITE_ORCID),
         scheme_query(DATACITE_DOI),
@@ -369,33 +376,34 @@ def test_criterion_8_text_index_transparency(small_world, announce):
         f"SELECT ?s ?v WHERE {{ ?s <{LITERAL_HAS_VALUE}> ?v ."
         f" ?s <{DATACITE_USES_SCHEME}> <{DATACITE_DOI}> }}",
     ]
-    records = small_world.context().delta_records()
-    for text in texts:
-        plain_ctx = small_world.context()
-        indexed_ctx = small_world.context(text_index=True)
-        plain = execute_version_query(text, plain_ctx)
-        indexed = execute_version_query(text, indexed_ctx)
-        assert indexed.results == plain.results
-        assert indexed.relevant_entities == plain.relevant_entities
+    ctx = small_world.context()
+    records = ctx.delta_records()
+    postings = ctx.term_postings()
+    assert postings == parsed_term_postings(records)
 
-        plain_delta = execute_delta_query(text, small_world.context())
-        indexed_delta = execute_delta_query(
-            text, small_world.context(text_index=True)
-        )
-        assert indexed_delta.report == plain_delta.report
+    def reference(known_terms, _postings):
+        return parsed_term_search(known_terms, records)
+
+    for text in texts:
+        indexed = execute_version_query(text, small_world.context())
+        indexed_delta = execute_delta_query(text, small_world.context())
+        with monkeypatch.context() as patched:
+            patched.setattr(version_query, "search_deltas", reference)
+            expected = execute_version_query(text, small_world.context())
+            expected_delta = execute_delta_query(text, small_world.context())
+        assert indexed.results == expected.results
+        assert indexed.relevant_entities == expected.relevant_entities
+        assert indexed_delta.report == expected_delta.report
 
         plan = classify(parse_select(text))
-        index = indexed_ctx.text_index
+        assert plan.isolated
         for pattern in plan.isolated:
             terms = list(pattern.ground_terms())
-            assert search_deltas(terms, records, index) == search_deltas(
-                terms, records, None
-            )
+            assert search_deltas(terms, postings) == parsed_term_search(terms, records)
             for term in terms:
-                scans = frozenset(
-                    (r.entity, r.snapshot) for r in records if term.n3() in r.text
+                assert search_deltas([term], postings) == parsed_term_search(
+                    [term], records
                 )
-                assert index.lookup(term.n3()) == scans
     announce(8)
 
 

@@ -10,6 +10,7 @@ import pytest
 from conftest import (
     CREATED_AT,
     FIXED_AT,
+    HAS_UPDATE,
     HAS_VALUE,
     ID,
     RIGHT_DOI,
@@ -17,7 +18,7 @@ from conftest import (
     WRONG_DOI,
 )
 
-from chrono_rdf import materialize_at, parse_timestamp, serialize
+from chrono_rdf import literal, materialize_at, parse_timestamp, quad, serialize
 from chrono_rdf.cli import main
 
 VALUE_QUERY = f"SELECT ?v WHERE {{ <{ID}> <{HAS_VALUE}> ?v }}"
@@ -240,7 +241,76 @@ class TestExitCodes:
         ])
         captured = capsys.readouterr()
         assert code == 4
-        assert json.loads(captured.err)["error"] == "BeforeCreation"
+        error = json.loads(captured.err)
+        assert error["error"] == "BeforeCreation"
+        # both instants in the same ISO form the library reports
+        assert f"at 2019-01-01T00:00:00; first snapshot is {CREATED_AT}" in error["message"]
+
+    @pytest.mark.parametrize("command", [
+        ["query", "--file", "-"],
+        ["delta", "--file", "-"],
+        ["materialize", ID, "--all"],
+    ], ids=["query", "delta", "materialize"])
+    def test_from_after_to_is_2(self, capsys, config_path, monkeypatch, command):
+        monkeypatch.setattr("sys.stdin", io.StringIO(VALUE_QUERY))
+        code = main([
+            "--config", config_path, *command,
+            "--from", "2021-10-20", "--to", "2021-10-10",
+        ])
+        captured = capsys.readouterr()
+        assert code == 2
+        assert "--from 2021-10-20T00:00:00 lies after --to 2021-10-10T23:59:59" in captured.err
+
+    @pytest.mark.parametrize("flag", ["--from", "--to"])
+    @pytest.mark.parametrize("command", [
+        ["query", "--file", "-"],
+        ["materialize", ID],
+    ], ids=["query", "materialize"])
+    def test_at_with_a_range_is_2(self, capsys, config_path, monkeypatch, command, flag):
+        monkeypatch.setattr("sys.stdin", io.StringIO(VALUE_QUERY))
+        code = main([
+            "--config", config_path, *command,
+            "--at", "2021-10-15T00:00:00", flag, "2021-10-12",
+        ])
+        captured = capsys.readouterr()
+        assert code == 2
+        assert "cannot be combined with --from or --to" in captured.err
+
+    def test_text_index_key_is_unknown_3(self, capsys, doi_files, tmp_path):
+        data_path, prov_path = doi_files
+        path = tmp_path / "old.json"
+        path.write_text(json.dumps({
+            "data": [str(data_path)],
+            "provenance": [str(prov_path)],
+            "text_index": True,
+        }), encoding="utf-8")
+        code = main(["--config", str(path), "materialize", ID, "--all"])
+        captured = capsys.readouterr()
+        assert code == 3
+        error = json.loads(captured.err)
+        assert error["error"] == "ConfigError"
+        assert "unknown configuration keys: text_index" in error["message"]
+
+    def test_update_that_does_not_parse_is_4(
+        self, capsys, doi_data, doi_provenance, tmp_path
+    ):
+        broken = literal("DELETE DATA { <" + ID + "> ?p ?o . }")
+        provenance = frozenset(
+            quad(q.subject, q.predicate, broken, q.graph)
+            if q.predicate.value == HAS_UPDATE else q
+            for q in doi_provenance
+        )
+        (tmp_path / "data.nq").write_text(serialize(doi_data), encoding="utf-8")
+        (tmp_path / "prov.nq").write_text(serialize(provenance), encoding="utf-8")
+        path = tmp_path / "broken.json"
+        path.write_text(json.dumps({
+            "data": [str(tmp_path / "data.nq")],
+            "provenance": [str(tmp_path / "prov.nq")],
+        }), encoding="utf-8")
+        code = main(["--config", str(path), "materialize", ID, "--all"])
+        captured = capsys.readouterr()
+        assert code == 4
+        assert json.loads(captured.err)["error"] == "BadDelta"
 
     def test_unbounded_query_is_4(self, capsys, config_path, monkeypatch):
         monkeypatch.setattr("sys.stdin", io.StringIO("SELECT * WHERE { ?s ?p ?o }"))

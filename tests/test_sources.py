@@ -13,24 +13,32 @@ from conftest import (
     DOI_UPDATE,
     HAS_VALUE,
     ID,
+    ID_GRAPH,
+    RIGHT_DOI,
     TITLE,
     USES_SCHEME,
+    WRONG_DOI,
 )
 from sparql_server import SparqlServer
 
 from chrono_rdf import (
+    BadDelta,
     ConfigError,
     Context,
     DeltaRecord,
     NetworkError,
     SourceConfig,
-    TextIndex,
     VersionCache,
     execute_version_query,
+    iri,
+    literal,
     load_sources,
     memory_context,
     parse_select,
+    quad,
 )
+from chrono_rdf import sparql_engine
+from chrono_rdf.provenance import OCO_HAS_UPDATE_QUERY
 from chrono_rdf.sources import FileProvenanceSource, FileSource
 
 
@@ -42,14 +50,12 @@ class TestSourceConfig:
         assert config.data == ("data.nq",)
         assert config.provenance == ("prov.nq",)
         assert config.cache_dir is None
-        assert config.text_index is False
         assert config.explosion_limit == 10_000
         assert config.http_timeout == 30.0
 
     def test_mapping_round_trip(self):
         config = SourceConfig.from_mapping(
-            dict(self.GOOD, cache_dir="/tmp/c", text_index=True,
-                 explosion_limit=5, http_timeout=1.5)
+            dict(self.GOOD, cache_dir="/tmp/c", explosion_limit=5, http_timeout=1.5)
         )
         assert SourceConfig.from_mapping(config.to_mapping()) == config
 
@@ -177,18 +183,47 @@ class TestContext:
         parsed = parse_select(f"SELECT DISTINCT ?c WHERE {{ <{BR}> <{CITES}> ?c }}")
         assert len(ctx.evaluate_current(parsed)) == 5
 
-    def test_text_index_is_off_by_default(self, doi_data, doi_provenance):
-        assert memory_context(doi_data, doi_provenance).text_index is None
-        indexed = memory_context(doi_data, doi_provenance, text_index=True)
-        assert isinstance(indexed.text_index, TextIndex)
+    def test_term_postings_come_from_the_parsed_updates(self, doi_data, doi_provenance):
+        ctx = memory_context(doi_data, doi_provenance)
+        postings = ctx.term_postings()
+        hit = frozenset({(ID, ID + "/prov/se/2")})
+        assert postings[iri(ID)] == hit
+        assert postings[iri(HAS_VALUE)] == hit
+        assert postings[literal(WRONG_DOI)] == hit
+        assert postings[literal(RIGHT_DOI)] == hit
+        # graph names are not terms of any quad, and nothing else is indexed
+        assert set(postings) == {iri(ID), iri(HAS_VALUE), literal(WRONG_DOI), literal(RIGHT_DOI)}
 
-    def test_text_index_prime_and_lookup(self, doi_data, doi_provenance):
-        ctx = memory_context(doi_data, doi_provenance, text_index=True)
-        index = ctx.text_index
-        form = f"<{ID}>"
-        index.prime([form])
-        assert index.lookup(form) == {(ID, ID + "/prov/se/2")}
-        assert index.lookup("never written") == frozenset()
+    def test_histories_reuse_the_parse_that_built_the_index(
+        self, doi_data, doi_provenance, monkeypatch
+    ):
+        ctx = memory_context(doi_data, doi_provenance)
+        ctx.delta_records()
+        calls = []
+        real = sparql_engine.parse_update
+        monkeypatch.setattr(
+            sparql_engine, "parse_update", lambda *a, **k: calls.append(a) or real(*a, **k)
+        )
+        history = ctx.history(ID)
+        assert calls == []
+        assert history.snapshots[1].update.inserts == (
+            quad(iri(ID), iri(HAS_VALUE), literal(RIGHT_DOI), ID_GRAPH),
+        )
+
+    def test_an_update_that_does_not_parse(self, doi_data, doi_provenance):
+        broken = literal("DELETE DATA { <" + ID + "> ?p ?o . }")
+        provenance = frozenset(
+            quad(q.subject, q.predicate, broken, q.graph)
+            if q.predicate.value == OCO_HAS_UPDATE_QUERY else q
+            for q in doi_provenance
+        )
+        ctx = memory_context(doi_data, provenance)
+        # left out of the index, so discovery through it finds nothing
+        assert ctx.term_postings() == {}
+        assert len(ctx.delta_records()) == 1
+        # and the entity's history still refuses to load
+        with pytest.raises(BadDelta):
+            ctx.history(ID)
 
 
 class TestLoadSources:

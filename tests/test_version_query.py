@@ -21,7 +21,7 @@ from conftest import (
     USES_SCHEME,
     WRONG_DOI,
 )
-from oracles import brute_evaluate, oracle_classify, solutions_counter
+from oracles import brute_evaluate, oracle_classify, parsed_term_search, solutions_counter
 from query_corpus import CASES, CITES as C_CITES, E, HAS_ID, VALUE
 
 from chrono_rdf import (
@@ -29,7 +29,6 @@ from chrono_rdf import (
     ExplosionLimit,
     GraphSet,
     Snapshot,
-    TextIndex,
     TimeInterval,
     UnboundedQuery,
     VersionedGraph,
@@ -50,6 +49,13 @@ from chrono_rdf.benchgen import (
     known_subject_query,
     scheme_query,
 )
+from chrono_rdf.provenance import (
+    GENERATED_AT_TIME,
+    OCO_HAS_UPDATE_QUERY,
+    SPECIALIZATION_OF,
+    WAS_DERIVED_FROM,
+)
+from chrono_rdf.rdf_model import RDF_TYPE, XSD_DATETIME, XSD_INTEGER
 
 
 def plan_for(text: str):
@@ -162,36 +168,97 @@ class TestSearchDeltas:
         ),
     )
 
-    def test_single_term_hits(self):
-        found = search_deltas([iri("http://v.example/orcid")], self.RECORDS)
+    @pytest.fixture()
+    def postings(self):
+        return _records_context(self.RECORDS).term_postings()
+
+    def test_single_term_hits(self, postings):
+        found = search_deltas([iri("http://v.example/orcid")], postings)
         assert found == {("https://x.example/e2", "https://x.example/e2/prov/se/2")}
 
-    def test_literal_terms_match_their_quoted_form(self):
-        found = search_deltas([literal("10.1/new")], self.RECORDS)
+    def test_literal_terms_match_their_quoted_form(self, postings):
+        found = search_deltas([literal("10.1/new")], postings)
         assert {e for e, _ in found} == {"https://x.example/e1", "https://x.example/e2"}
 
-    def test_conjunction_needs_every_term(self):
+    def test_conjunction_needs_every_term(self, postings):
         found = search_deltas(
-            [literal("10.1/new"), iri("http://v.example/scheme")], self.RECORDS
+            [literal("10.1/new"), iri("http://v.example/scheme")], postings
         )
         assert found == frozenset()
 
-    def test_no_terms_means_no_hits(self):
-        assert search_deltas([], self.RECORDS) == frozenset()
+    def test_no_terms_means_no_hits(self, postings):
+        assert search_deltas([], postings) == frozenset()
 
-    def test_index_answers_like_a_scan(self):
-        index = TextIndex(self.RECORDS)
+    def test_index_answers_like_a_scan(self, postings):
         probes = [
             [iri("http://v.example/orcid")],
             [literal("10.1/new")],
             [literal("10.1/new"), iri("http://v.example/value")],
             [iri("https://x.example/e1")],
             [literal("not present anywhere")],
+            [literal("10.1/new", language="en")],
+            [iri("https://x.example/g/")],  # a graph name, not a term of any quad
         ]
         for terms in probes:
-            assert search_deltas(terms, self.RECORDS, index) == search_deltas(
+            assert search_deltas(terms, postings) == parsed_term_search(
                 terms, self.RECORDS
             )
+
+
+def _records_context(records):
+    """A context with no live data whose provenance holds just the given records."""
+    provenance = set()
+    for r in records:
+        provenance.add(quad(iri(r.snapshot), iri(SPECIALIZATION_OF), iri(r.entity)))
+        provenance.add(quad(iri(r.snapshot), iri(OCO_HAS_UPDATE_QUERY), literal(r.text)))
+    return memory_context(frozenset(), frozenset(provenance))
+
+
+GONE = "https://x.example/e9"
+GONE_TYPE = "https://x.example/T"
+GONE_P = "https://x.example/p"
+
+
+class TestDiscoveryReadsTheParsedUpdate:
+    """Every spelling the update grammar accepts finds the deleted entity."""
+
+    def _world(self, deleted_triple: str):
+        e = GONE
+        prov = set()
+        for k, when in ((1, "2021-01-01T00:00:00"), (2, "2021-02-01T00:00:00")):
+            se = iri(f"{e}/prov/se/{k}")
+            prov.add(quad(se, iri(SPECIALIZATION_OF), iri(e)))
+            prov.add(quad(se, iri(GENERATED_AT_TIME), literal(when, XSD_DATETIME)))
+        prov.add(quad(iri(f"{e}/prov/se/2"), iri(WAS_DERIVED_FROM), iri(f"{e}/prov/se/1")))
+        prov.add(quad(
+            iri(f"{e}/prov/se/2"), iri(OCO_HAS_UPDATE_QUERY),
+            literal(f"DELETE DATA {{ {deleted_triple} }}"),
+        ))
+        # the entity is gone from the live data, so only its update can name it
+        return memory_context(frozenset(), frozenset(prov))
+
+    @pytest.mark.parametrize(
+        "deleted, pattern",
+        [
+            (f"<{GONE}> <{RDF_TYPE}> <{GONE_TYPE}> .", f"<{RDF_TYPE}> <{GONE_TYPE}>"),
+            (f"<{GONE}> a <{GONE_TYPE}> .", f"<{RDF_TYPE}> <{GONE_TYPE}>"),
+            (f"<{GONE}> <{GONE_P}> 42 .", f'<{GONE_P}> "42"^^<{XSD_INTEGER}>'),
+            (f"<{GONE}> <{GONE_P}> 'x' .", f'<{GONE_P}> "x"'),
+            (f"<{GONE}> <{RDF_TYPE}> <https://x.example/\\u0054> .",
+             f"<{RDF_TYPE}> <{GONE_TYPE}>"),
+            (f'<{GONE}> <{GONE_P}> "caf\\u00E9" .', f'<{GONE_P}> "caf\u00e9"'),
+        ],
+        ids=["canonical", "a-keyword", "bare-integer", "single-quotes",
+             "iri-escape", "string-escape"],
+    )
+    def test_deleted_entity_is_found_whatever_the_spelling(self, deleted, pattern):
+        ctx = self._world(deleted)
+        outcome = execute_version_query(f"SELECT ?s WHERE {{ ?s {pattern} }}", ctx)
+        assert outcome.relevant_entities == {GONE}
+        earlier, later = "2021-01-01T00:00:00", "2021-02-01T00:00:00"
+        assert list(outcome.results) == [earlier, later]
+        assert [b.as_dict()["s"].value for b in outcome.results[earlier].rows] == [GONE]
+        assert outcome.results[later].rows == ()
 
 
 def _snap(entity: str, k: int, when: str) -> Snapshot:
@@ -441,15 +508,6 @@ class TestSmallWorldQueries:
         assert parse_timestamp(key) <= at
         expected = _ledger_rows(small_world, parsed, at, outcome.relevant_entities)
         assert solutions_counter(outcome.results[key]) == expected
-
-    def test_text_index_changes_nothing(self, small_world):
-        parsed = parse_select(scheme_query())
-        plain = execute_version_query(parsed, small_world.context())
-        indexed = execute_version_query(
-            parsed, small_world.context(text_index=True)
-        )
-        assert plain.results == indexed.results
-        assert plain.relevant_entities == indexed.relevant_entities
 
     def test_explosion_limit_guards_wide_scans(self, small_world):
         ctx = small_world.context(explosion_limit=2)
