@@ -267,8 +267,23 @@ def _cmd_bench(args: argparse.Namespace) -> int:
     return 0
 
 
+class UsageError(Exception):
+    """The command line is malformed or contradictory (exit 2)."""
+
+
+class _Parser(argparse.ArgumentParser):
+    """An argument parser that raises UsageError instead of printing usage.
+
+    Subparsers inherit the class, so a failure anywhere on the command
+    line reaches main, which prints it as one JSON error object.
+    """
+
+    def error(self, message: str):
+        raise UsageError(message)
+
+
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="chrono-rdf",
         description="Time traversal queries over RDF datasets with change tracking.",
     )
@@ -333,21 +348,26 @@ def _fail(exc: Exception, code: int) -> int:
     return code
 
 
+def _check_usage(args: argparse.Namespace) -> None:
+    at = getattr(args, "at", None)
+    since, until = getattr(args, "since", None), getattr(args, "until", None)
+    if getattr(args, "format", "json") == "nquads" and not at:
+        raise UsageError("--format nquads requires --at")
+    if at is not None and (since is not None or until is not None):
+        raise UsageError("--at names one instant; it cannot be combined with --from or --to")
+    if since is not None and until is not None and since > until:
+        raise UsageError(
+            f"--from {format_timestamp(since)} lies after --to {format_timestamp(until)}"
+        )
+
+
 def main(argv: list[str] | None = None) -> int:
-    parser = build_parser()
     try:
-        args = parser.parse_args(argv)
-        at = getattr(args, "at", None)
-        since, until = getattr(args, "since", None), getattr(args, "until", None)
-        if getattr(args, "format", "json") == "nquads" and not at:
-            parser.error("--format nquads requires --at")
-        if at is not None and (since is not None or until is not None):
-            parser.error("--at names one instant; it cannot be combined with --from or --to")
-        if since is not None and until is not None and since > until:
-            parser.error(
-                f"--from {format_timestamp(since)} lies after --to {format_timestamp(until)}"
-            )
-    except SystemExit as exc:
+        args = build_parser().parse_args(argv)
+        _check_usage(args)
+    except UsageError as exc:
+        return _fail(exc, 2)
+    except SystemExit as exc:  # --help
         return int(exc.code or 0)
     try:
         return args.func(args)

@@ -20,7 +20,7 @@ from __future__ import annotations
 import re
 from collections import Counter, defaultdict
 from dataclasses import dataclass, field
-from typing import Iterable, Iterator, Mapping
+from typing import Callable, Iterable, Iterator, Mapping
 
 from .errors import (
     BadRegex,
@@ -588,6 +588,32 @@ def match_pattern(
                 break
         if ok:
             yield new
+
+
+def readable_by(patterns: Iterable[TriplePattern]) -> Callable[[Quad], bool]:
+    """A test that holds for every quad some pattern could match.
+
+    Variables count as wildcards, so a repeated variable does not
+    narrow; graph names never take part.  BGP, OPTIONAL and FILTER read
+    only such quads, so evaluating over the quads that pass gives the
+    answer evaluating over all of them would.
+    """
+    shapes = tuple({
+        tuple(None if isinstance(t, Variable) else t
+              for t in (p.subject, p.predicate, p.object))
+        for p in patterns
+    })
+
+    def reads(q: Quad) -> bool:
+        t = q.triple
+        for s, p, o in shapes:
+            if ((p is None or p == t.predicate)
+                    and (o is None or o == t.object)
+                    and (s is None or s == t.subject)):
+                return True
+        return False
+
+    return reads
 
 
 def _filter_ok(f: Filter, row: Mapping[Variable, Term]) -> bool:

@@ -8,14 +8,21 @@ subject position somewhere in the query; otherwise it is isolated.
 Second, the relevant entities are discovered.  Joined patterns start
 from the subject IRIs and recursively promote every IRI bound to a
 variable that appears in subject position, materialising versions as
-they go.  Isolated patterns cannot be chased that way, so their ground
-terms are looked up in the context's index of the terms every parsed
-stored update mentions, which also surfaces entities that no longer
-exist in the current data.
-Third, each entity's versions are aligned on the global list of snapshot
-times: an entity that did not change at time t keeps its previous state,
-copied forward, and all states that share a time are merged into one
-graph per time.  Last, the query is evaluated over each merged graph.
+they go.  The chase reads each version only through the quads the
+required joined patterns could match, and skips a state the entity has
+already been chased through.  Isolated patterns cannot be chased that
+way, so their ground terms are looked up in the context's index of the
+terms every parsed stored update mentions, which also surfaces entities
+that no longer exist in the current data.
+Third, each version is narrowed to the quads some pattern of the query
+could match, variables counting as wildcards; BGP, OPTIONAL and FILTER
+read nothing else.  The narrowed versions are aligned on the global list
+of snapshot times: an entity that did not change at time t keeps its
+previous state, copied forward, and all states that share a time are
+merged into one graph per time.  A narrowed version stays a version even
+when it is empty, so the keys are those of the full states.  Last, the
+query is evaluated at each key whose merged narrowed state differs from
+the previous key's; every other key reuses the previous answer.
 
 A query whose patterns are all isolated and carry no ground term at all
 would make the whole dataset relevant; it is rejected as unbounded.
@@ -25,7 +32,7 @@ Discovery also refuses to walk past the configured entity limit.
 from __future__ import annotations
 
 from collections import deque
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from datetime import datetime
 from typing import Iterable, Mapping, Sequence
 
@@ -49,6 +56,7 @@ from .sparql_engine import (
     evaluate,
     match_pattern,
     parse_select,
+    readable_by,
 )
 
 
@@ -259,6 +267,7 @@ def explicate(
     snapshots_involved = 0
     warnings: list[str] = []
     required_joined = [p for p in plan.joined if p.required]
+    reads_joined = readable_by(required_joined)
 
     while queue:
         entity, materialize = queue.popleft()
@@ -278,10 +287,14 @@ def explicate(
         versions[entity] = entity_versions
         snapshots_involved += walked
         warnings.extend(entity_warnings)
+        # versions with equal narrowed states bind the same IRIs
+        chased: set[GraphSet] = set()
         for v in entity_versions:
-            if not v.graphs:
+            state = frozenset(filter(reads_joined, v.graphs))
+            if not state or state in chased:
                 continue
-            index = TripleIndex(v.graphs)
+            chased.add(state)
+            index = TripleIndex(state)
             for pattern in required_joined:
                 for binding in match_pattern(pattern, {}, index):
                     for var, term in binding.items():
@@ -368,17 +381,29 @@ def execute_version_query(
     interval: TimeInterval = UNBOUNDED,
     at: datetime | None = None,
 ) -> VersionQueryOutcome:
-    """Full pipeline; `at` selects single-version mode, else cross-version."""
+    """Full pipeline; `at` selects single-version mode, else cross-version.
+
+    The outcome's timeline holds the merged states narrowed to the quads
+    some pattern of the query could match, not every quad of every
+    relevant entity.
+    """
     parsed = parse_select(query) if isinstance(query, str) else query
     plan = classify(parsed)
     mode = "single" if at is not None else "cross"
     explication = explicate(plan, ctx, interval=interval, mode=mode, at=at)
+    reads = readable_by(parsed.patterns)
+    # a version narrowed to nothing stays a version: its time is still a
+    # key, and it still replaces the entity's earlier state
+    versions = {
+        entity: [replace(v, graphs=frozenset(filter(reads, v.graphs))) for v in vs]
+        for entity, vs in explication.versions.items()
+    }
 
     results: dict[str, SolutionSet] = {}
     if mode == "single":
         merged: set = set()
         chosen_times = []
-        for vs in explication.versions.values():
+        for vs in versions.values():
             for v in vs:
                 merged |= v.graphs
                 if v.time is not None:
@@ -389,9 +414,15 @@ def execute_version_query(
         )
         results[format_timestamp(key_time)] = evaluate(parsed, timeline.datasets[key_time])
     else:
-        timeline = align_and_merge(explication.versions, interval)
+        timeline = align_and_merge(versions, interval)
+        # the answer can only change where the quads the query reads changed
+        previous: GraphSet | None = None
         for t in timeline.times:
-            results[format_timestamp(t)] = evaluate(parsed, timeline.datasets[t])
+            data = timeline.datasets[t]
+            if data != previous:
+                answer = evaluate(parsed, data)
+                previous = data
+            results[format_timestamp(t)] = answer
 
     return VersionQueryOutcome(
         results=results,

@@ -2,7 +2,10 @@
 
 Everything here is written the dumbest correct way: full scans instead
 of indexes, union-find instead of graph search, version diffs instead of
-stored change sets.  Slow is fine; sharing code with the engine is not.
+stored change sets.  Slow is fine; sharing code with the engine is not,
+with one exception: evaluate_every_key runs the engine's own discovery,
+alignment and evaluation, so that it differs from the engine only in the
+two steps it is there to check.
 """
 
 from __future__ import annotations
@@ -11,8 +14,11 @@ import re
 from collections import Counter
 from typing import Iterable, Mapping
 
-from chrono_rdf import GraphSet, ParsedQuery, SolutionSet, Term
+from chrono_rdf import GraphSet, ParsedQuery, SolutionSet, Term, format_timestamp
+from chrono_rdf.materializer import UNBOUNDED
 from chrono_rdf.sparql_engine import TriplePattern, Variable, parse_update
+from chrono_rdf.sparql_engine import evaluate as sparql_evaluate
+from chrono_rdf.version_query import align_and_merge, classify, explicate
 
 
 def _match_term(pattern_term, term: Term, env: dict):
@@ -198,3 +204,30 @@ def parsed_term_postings(records) -> dict[Term, frozenset[tuple[str, str]]]:
             if not term.is_blank:
                 out.setdefault(term, set()).add((r.entity, r.snapshot))
     return {term: frozenset(pairs) for term, pairs in out.items()}
+
+
+def evaluate_every_key(query: ParsedQuery, ctx, interval=UNBOUNDED, at=None) -> dict:
+    """Results keyed like execute_version_query's, from the full states.
+
+    Discovery, alignment and evaluation are the engine's own; what this
+    leaves out is the narrowing of each version to the quads the query
+    can read and the reuse of an answer where those quads did not
+    change, so it answers the way every key was evaluated before both.
+    """
+    mode = "single" if at is not None else "cross"
+    explication = explicate(classify(query), ctx, interval=interval, mode=mode, at=at)
+    if mode == "single":
+        merged = set()
+        times = []
+        for vs in explication.versions.values():
+            for v in vs:
+                merged |= v.graphs
+                if v.time is not None:
+                    times.append(v.time)
+        key = max(times) if times else at
+        return {format_timestamp(key): sparql_evaluate(query, frozenset(merged))}
+    timeline = align_and_merge(explication.versions, interval)
+    return {
+        format_timestamp(t): sparql_evaluate(query, timeline.datasets[t])
+        for t in timeline.times
+    }

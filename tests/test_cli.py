@@ -189,11 +189,36 @@ class TestCache:
         assert json.loads(captured.err)["error"] == "ConfigError"
 
 
+def usage_error(capsys) -> str:
+    """The message of the one JSON usage error on stderr; nothing on stdout."""
+    captured = capsys.readouterr()
+    error = json.loads(captured.err)
+    assert error["error"] == "UsageError"
+    assert captured.out == ""
+    return error["message"]
+
+
 class TestExitCodes:
     def test_usage_error_is_2(self, capsys):
         assert main([]) == 2
+        assert "required: command" in usage_error(capsys)
         assert main(["materialize"]) == 2  # entity and --at/--all missing
-        capsys.readouterr()
+        assert "required: entity" in usage_error(capsys)
+
+    def test_unknown_flag_is_2(self, capsys, config_path):
+        code = main(["--config", config_path, "query", "--file", "-", "--bogus"])
+        assert code == 2
+        assert "unrecognized arguments: --bogus" in usage_error(capsys)
+
+    def test_missing_file_is_2(self, capsys, config_path):
+        assert main(["--config", config_path, "query"]) == 2
+        assert "required: --file" in usage_error(capsys)
+
+    def test_help_exits_0_with_help_text(self, capsys):
+        assert main(["--help"]) == 0
+        captured = capsys.readouterr()
+        assert captured.out.startswith("usage: chrono-rdf")
+        assert captured.err == ""
 
     def test_bad_timestamp_is_2(self, capsys, config_path):
         code = main([
@@ -201,7 +226,7 @@ class TestExitCodes:
             "materialize", ID, "--at", "the other day",
         ])
         assert code == 2
-        capsys.readouterr()
+        assert "argument --at" in usage_error(capsys)
 
     def test_nquads_without_at_is_2(self, capsys, config_path):
         code = main([
@@ -209,7 +234,7 @@ class TestExitCodes:
             "materialize", ID, "--all", "--format", "nquads",
         ])
         assert code == 2
-        capsys.readouterr()
+        assert usage_error(capsys) == "--format nquads requires --at"
 
     def test_missing_config_is_3(self, capsys):
         code = main(["materialize", ID, "--at", "2021-10-15T00:00:00"])
@@ -257,9 +282,10 @@ class TestExitCodes:
             "--config", config_path, *command,
             "--from", "2021-10-20", "--to", "2021-10-10",
         ])
-        captured = capsys.readouterr()
         assert code == 2
-        assert "--from 2021-10-20T00:00:00 lies after --to 2021-10-10T23:59:59" in captured.err
+        assert usage_error(capsys) == (
+            "--from 2021-10-20T00:00:00 lies after --to 2021-10-10T23:59:59"
+        )
 
     @pytest.mark.parametrize("flag", ["--from", "--to"])
     @pytest.mark.parametrize("command", [
@@ -272,9 +298,8 @@ class TestExitCodes:
             "--config", config_path, *command,
             "--at", "2021-10-15T00:00:00", flag, "2021-10-12",
         ])
-        captured = capsys.readouterr()
         assert code == 2
-        assert "cannot be combined with --from or --to" in captured.err
+        assert "cannot be combined with --from or --to" in usage_error(capsys)
 
     def test_text_index_key_is_unknown_3(self, capsys, doi_files, tmp_path):
         data_path, prov_path = doi_files

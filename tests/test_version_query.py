@@ -3,7 +3,7 @@
 from __future__ import annotations
 
 import itertools
-from datetime import datetime
+from datetime import datetime, timedelta
 
 import pytest
 
@@ -21,7 +21,14 @@ from conftest import (
     USES_SCHEME,
     WRONG_DOI,
 )
-from oracles import brute_evaluate, oracle_classify, parsed_term_search, solutions_counter
+from oracles import (
+    brute_evaluate,
+    evaluate_every_key,
+    oracle_classify,
+    parsed_term_search,
+    solutions_counter,
+)
+import query_corpus
 from query_corpus import CASES, CITES as C_CITES, E, HAS_ID, VALUE
 
 from chrono_rdf import (
@@ -43,8 +50,13 @@ from chrono_rdf import (
     quad,
     search_deltas,
 )
+from chrono_rdf import version_query
 from chrono_rdf.benchgen import (
+    CITO_CITES,
+    DATACITE_HAS_IDENTIFIER,
     DATACITE_ORCID,
+    DATACITE_USES_SCHEME,
+    LITERAL_HAS_VALUE,
     GeneratedWorld,
     known_subject_query,
     scheme_query,
@@ -513,3 +525,221 @@ class TestSmallWorldQueries:
         ctx = small_world.context(explosion_limit=2)
         with pytest.raises(ExplosionLimit):
             execute_version_query(parse_select(scheme_query()), ctx)
+
+
+def _corpus_in(world: GeneratedWorld) -> tuple[str, dict[str, str]]:
+    """The classification corpus spelt in the world's vocabulary, plus a
+    repeated variable and a ground object under a variable predicate;
+    returns the subject that stands in for the corpus's anchor, and the
+    texts by name."""
+    entities = world.ledger.entities
+    subject = next(
+        e for e in sorted(entities)
+        if "/br/" in e and len(entities[e].times) >= 3
+        and any(q.predicate.value == CITO_CITES for q in entities[e].versions[-1])
+    )
+    cited = min(
+        q.object.value for q in entities[subject].versions[-1]
+        if q.predicate.value == CITO_CITES
+    )
+    past_value = next(
+        q.object.value
+        for e in sorted(entities) if "/id/" in e
+        for q in entities[e].versions[0]
+        if q.predicate.value == LITERAL_HAS_VALUE and q not in entities[e].versions[-1]
+    )
+    spelling = {
+        f"<{query_corpus.E}>": f"<{subject}>",
+        f"<{query_corpus.E2}>": f"<{cited}>",
+        f"<{query_corpus.CITES}>": f"<{CITO_CITES}>",
+        f"<{query_corpus.KNOWS}>": f"<{CITO_CITES}>",
+        f"<{query_corpus.HAS_ID}>": f"<{DATACITE_HAS_IDENTIFIER}>",
+        f"<{query_corpus.VALUE}>": f"<{LITERAL_HAS_VALUE}>",
+        f"<{query_corpus.SCHEME}>": f"<{DATACITE_USES_SCHEME}>",
+        f"<{query_corpus.ORCID}>": f"<{DATACITE_ORCID}>",
+        '"10.1111/x"': f'"{past_value}"',
+    }
+    texts = {}
+    for case in CASES:
+        if case.unbounded:
+            continue
+        text = case.text
+        for old, new in spelling.items():
+            text = text.replace(old, new)
+        assert ".example/" not in text.replace(world.spec.base_iri, ""), text
+        texts[case.name] = text
+    texts["repeated-variable"] = f"SELECT ?x WHERE {{ ?x <{CITO_CITES}> ?x }}"
+    texts["ground-object"] = f"SELECT ?s ?p WHERE {{ ?s ?p <{cited}> }}"
+    return subject, texts
+
+
+_CORPUS_NAMES = [c.name for c in CASES if not c.unbounded] + [
+    "repeated-variable", "ground-object",
+]
+
+
+@pytest.fixture(scope="module", params=["small_world", "big_world"])
+def corpus_world(request):
+    """A world, one context reused by every query, and where to ask.
+
+    The small world is asked over all time; the big one over a one-day
+    window around a change of the anchor, which also puts a boundary
+    state before the first key.
+    Single versions are asked a third of the way in and after the end.
+    """
+    world = request.getfixturevalue(request.param)
+    subject, texts = _corpus_in(world)
+    times = world.ledger.change_times()
+    if request.param == "small_world":
+        interval = TimeInterval(None, None)
+    else:
+        anchor_times = world.ledger.entities[subject].times
+        middle = anchor_times[len(anchor_times) // 2]
+        interval = TimeInterval(middle - timedelta(hours=12), middle + timedelta(hours=12))
+    instants = (times[len(times) // 3], times[-1] + timedelta(days=1))
+    return world.context(), interval, instants, texts
+
+
+class TestIncrementalEvaluation:
+    """Narrowing and answer reuse against evaluation of every full state."""
+
+    @pytest.mark.parametrize("name", _CORPUS_NAMES)
+    def test_cross_version_equals_every_key_evaluated(self, corpus_world, name):
+        ctx, interval, _instants, texts = corpus_world
+        parsed = parse_select(texts[name])
+        outcome = execute_version_query(parsed, ctx, interval=interval)
+        expected = evaluate_every_key(parsed, ctx, interval=interval)
+        assert list(outcome.results) == list(expected)
+        assert outcome.results == expected
+
+    @pytest.mark.parametrize("name", _CORPUS_NAMES)
+    def test_single_version_equals_the_full_state(self, corpus_world, name):
+        ctx, _interval, instants, texts = corpus_world
+        parsed = parse_select(texts[name])
+        for at in instants:
+            outcome = execute_version_query(parsed, ctx, at=at)
+            expected = evaluate_every_key(parsed, ctx, at=at)
+            assert list(outcome.results) == list(expected)
+            assert outcome.results == expected
+
+    def test_the_corpus_reads_something(self, small_world):
+        # a differential over empty answers would show nothing
+        ctx = small_world.context()
+        _subject, texts = _corpus_in(small_world)
+        answered = {
+            name for name, text in texts.items()
+            if any(execute_version_query(text, ctx).results.values())
+        }
+        assert answered == set(texts) - {"repeated-variable"}
+
+
+X = "https://x.example/x"
+X_P = "https://x.example/p"
+X_O = "https://x.example/o"
+X_Q = "https://x.example/q"
+
+
+def _lived(live: GraphSet, updates: list[str]):
+    """A context whose one entity, X, holds `live` now and got there
+    through `updates`: snapshot 1 is dated 2021-01-01 and snapshot k + 1,
+    a month after snapshot k, applied updates[k - 1]."""
+    prov = set()
+    for k in range(1, len(updates) + 2):
+        se = iri(f"{X}/prov/se/{k}")
+        prov.add(quad(se, iri(SPECIALIZATION_OF), iri(X)))
+        prov.add(quad(se, iri(GENERATED_AT_TIME),
+                      literal(f"2021-{k:02d}-01T00:00:00", XSD_DATETIME)))
+        if k > 1:
+            prov.add(quad(se, iri(WAS_DERIVED_FROM), iri(f"{X}/prov/se/{k - 1}")))
+            prov.add(quad(se, iri(OCO_HAS_UPDATE_QUERY), literal(updates[k - 2])))
+    return memory_context(frozenset(live), frozenset(prov))
+
+
+def _swap(old: str, new: str) -> str:
+    return f"DELETE DATA {{ {old} }}; INSERT DATA {{ {new} }}"
+
+
+def _x(p: str, o) -> object:
+    return quad(iri(X), iri(p), o)
+
+
+@pytest.fixture()
+def evaluations(monkeypatch):
+    """The datasets version_query hands to evaluate, in call order."""
+    seen = []
+    real = version_query.evaluate
+
+    def counted(query, data):
+        seen.append(data)
+        return real(query, data)
+
+    monkeypatch.setattr(version_query, "evaluate", counted)
+    return seen
+
+
+def _rows(solutions) -> list[dict[str, str]]:
+    return [{k: t.value for k, t in b.values} for b in solutions.sorted_rows()]
+
+
+class TestAnswerReuse:
+    """Evaluate runs only where the quads the query can read changed."""
+
+    def _run(self, ctx, text):
+        parsed = parse_select(text)
+        outcome = execute_version_query(parsed, ctx)
+        expected = evaluate_every_key(parsed, ctx)
+        assert list(outcome.results) == list(expected)
+        assert outcome.results == expected
+        return outcome
+
+    def test_unrelated_changes_reuse_one_answer(self, evaluations):
+        ctx = _lived(
+            {_x(X_P, literal("v")), _x(X_Q, literal("u3"))},
+            [_swap(f'<{X}> <{X_Q}> "u{k}" .', f'<{X}> <{X_Q}> "u{k + 1}" .')
+             for k in range(3)],
+        )
+        outcome = self._run(ctx, f"SELECT ?v WHERE {{ <{X}> <{X_P}> ?v }}")
+        assert len(outcome.results) == 4
+        assert len(evaluations) == 1
+        assert all(_rows(s) == [{"v": "v"}] for s in outcome.results.values())
+        # the timeline holds what the query can read, not the entity's whole state
+        assert set(outcome.timeline.datasets.values()) == {frozenset({_x(X_P, literal("v"))})}
+
+    def test_a_change_only_optional_sees_is_evaluated(self, evaluations):
+        ctx = _lived(
+            {_x(X_P, literal("v")), _x(X_O, literal("w")), _x(X_Q, literal("u1"))},
+            [f'INSERT DATA {{ <{X}> <{X_O}> "w" . }}',
+             _swap(f'<{X}> <{X_Q}> "u0" .', f'<{X}> <{X_Q}> "u1" .')],
+        )
+        outcome = self._run(
+            ctx, f"SELECT ?v ?w WHERE {{ <{X}> <{X_P}> ?v OPTIONAL {{ <{X}> <{X_O}> ?w }} }}"
+        )
+        assert len(evaluations) == 2
+        assert [_rows(s) for s in outcome.results.values()] == [
+            [{"v": "v"}], [{"v": "v", "w": "w"}], [{"v": "v", "w": "w"}],
+        ]
+
+    def test_a_changed_filtered_literal_is_evaluated(self, evaluations):
+        ctx = _lived(
+            {_x(X_P, literal("keep-3"))},
+            [_swap(f'<{X}> <{X_P}> "keep-1" .', f'<{X}> <{X_P}> "drop-2" .'),
+             _swap(f'<{X}> <{X_P}> "drop-2" .', f'<{X}> <{X_P}> "keep-3" .')],
+        )
+        outcome = self._run(
+            ctx, f'SELECT ?v WHERE {{ <{X}> <{X_P}> ?v FILTER REGEX(?v, "^keep") }}'
+        )
+        assert len(evaluations) == 3
+        assert [_rows(s) for s in outcome.results.values()] == [
+            [{"v": "keep-1"}], [], [{"v": "keep-3"}],
+        ]
+
+    def test_a_repeated_variable_narrows_as_a_wildcard(self, evaluations):
+        y = "https://x.example/y"
+        ctx = _lived(
+            {_x(X_P, iri(y)), _x(X_Q, literal("u"))},
+            [_swap(f"<{X}> <{X_P}> <{X}> .", f"<{X}> <{X_P}> <{y}> .")],
+        )
+        outcome = self._run(ctx, f"SELECT ?s WHERE {{ ?s <{X_P}> ?s }}")
+        assert len(evaluations) == 2
+        assert [_rows(s) for s in outcome.results.values()] == [[{"s": X}], []]
+        assert evaluations[-1] == frozenset({_x(X_P, iri(y))})
