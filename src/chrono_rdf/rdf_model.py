@@ -218,8 +218,62 @@ def graph_diff(a: Iterable[Quad], b: Iterable[Quad]) -> tuple[GraphSet, GraphSet
     return sb - sa, sa - sb
 
 
+# Token patterns of the Scanner.  A numeric escape must name a Unicode
+# scalar value: at most U+10FFFF and no surrogate (D800-DFFF).
+_HEX = "[0-9A-Fa-f]"
+_HEX_RUN = re.compile(f"{_HEX}*")
+_UCHAR = (
+    rf"\\u(?![dD][89a-fA-F]){_HEX}{{4}}"
+    rf"|\\U(?:0010|000[1-9A-Fa-f]|0000(?![dD][89a-fA-F])){_HEX}{{4}}"
+)
+_IRI_BODY = rf'[^ \t\n\r"{{}}|^`<>\\]*(?:(?:{_UCHAR})[^ \t\n\r"{{}}|^`<>\\]*)*'
+_IRIREF = re.compile(rf"<({_IRI_BODY})>")
+_IRI_PREFIX = re.compile(_IRI_BODY)
+# any escape but a malformed \u or \U; an unknown one keeps its backslash
+_STRING_ESCAPE = rf"\\[^uU]|{_UCHAR}"
+_STRING_BODIES = {
+    '"': rf'[^"\\\n\r]*(?:(?:{_STRING_ESCAPE})[^"\\\n\r]*)*',
+    "'": rf"[^'\\\n\r]*(?:(?:{_STRING_ESCAPE})[^'\\\n\r]*)*",
+    '"""': rf'[^"\\]*(?:(?:"(?!"")|{_STRING_ESCAPE})[^"\\]*)*',
+    "'''": rf"[^'\\]*(?:(?:'(?!'')|{_STRING_ESCAPE})[^'\\]*)*",
+}
+_STRINGS = {
+    opener: (re.compile(f"{opener}({body}){opener}"), re.compile(body))
+    for opener, body in _STRING_BODIES.items()
+}
+_ESCAPE = re.compile(rf"\\(?:u({_HEX}{{4}})|U({_HEX}{{8}})|([\s\S]))")
+_SIMPLE_ESCAPES = {"t": "\t", "b": "\b", "n": "\n", "r": "\r", "f": "\f",
+                   '"': '"', "'": "'", "\\": "\\"}
+_SPACE = re.compile(r"[ \t\r\n]*(?:#[^\n]*\n?[ \t\r\n]*)*")
+_LANGTAG_TOKEN = re.compile(r"@([A-Za-z]+(?:-[A-Za-z0-9]+)*)(?![^\W_]|-)")
+# a label or word never ends in a dot: trailing dots end the statement
+_BLANK_LABEL = re.compile(r"_:([\w.\-]*[\w\-])")
+_WORD = re.compile(r"(?:[\w%:.\-]*[\w%:\-])?")
+
+
+def _decode_escape(m: re.Match) -> str:
+    hex4, hex8, other = m.groups()
+    if other is not None:
+        # regex patterns like "\.$" travel inside strings, so an unknown
+        # escape keeps its backslash instead of failing the document
+        return _SIMPLE_ESCAPES.get(other, "\\" + other)
+    return chr(int(hex4 or hex8, 16))
+
+
+def _unescape(body: str) -> str:
+    return _ESCAPE.sub(_decode_escape, body) if "\\" in body else body
+
+
 class Scanner:
-    """Character scanner shared by the N-Quads and Turtle readers."""
+    """Token reader shared by every parser of the package.
+
+    The N-Quads and Turtle readers, parse_update and the SPARQL tokenizer
+    all read their tokens here.  Each reader matches its whole token with
+    one anchored regular expression at pos and decodes escapes with one
+    substitution, so valid input never reaches a loop over characters.
+    When a match fails, the reader works out which character is at fault
+    and raises a ParseError at its line and column.
+    """
 
     __slots__ = ("text", "pos")
 
@@ -245,16 +299,7 @@ class Scanner:
         return self.text[i] if i < len(self.text) else ""
 
     def skip_space(self) -> None:
-        text = self.text
-        while self.pos < len(text):
-            ch = text[self.pos]
-            if ch in " \t\r\n":
-                self.pos += 1
-            elif ch == "#":
-                nl = text.find("\n", self.pos)
-                self.pos = len(text) if nl < 0 else nl + 1
-            else:
-                return
+        self.pos = _SPACE.match(self.text, self.pos).end()
 
     def expect(self, ch: str) -> None:
         if self.peek() != ch:
@@ -262,125 +307,80 @@ class Scanner:
         self.pos += 1
 
     def read_iriref(self) -> str:
+        m = _IRIREF.match(self.text, self.pos)
+        if m is None:
+            raise self._iriref_error()
+        self.pos = m.end()
+        return _unescape(m.group(1))
+
+    def _iriref_error(self) -> ParseError:
         start = self.pos
         self.expect("<")
-        out = []
         text = self.text
-        while True:
-            if self.pos >= len(text):
-                raise self.error("unterminated IRI", start)
-            ch = text[self.pos]
-            if ch == ">":
-                self.pos += 1
-                return "".join(out)
-            if ch in " \n\r\t\"{}|^`":
-                raise self.error(f"character {ch!r} not allowed inside an IRI")
-            if ch == "<":
-                raise self.error("character '<' not allowed inside an IRI")
-            if ch == "\\":
-                out.append(self._read_uchar())
-                continue
-            out.append(ch)
-            self.pos += 1
+        pos = _IRI_PREFIX.match(text, self.pos).end()
+        if pos >= len(text):
+            return self.error("unterminated IRI", start)
+        ch = text[pos]
+        if ch != "\\":
+            return self.error(f"character {ch!r} not allowed inside an IRI", pos)
+        if text[pos + 1 : pos + 2] not in ("u", "U"):
+            return self.error("only \\u and \\U escapes are allowed in IRIs", pos)
+        return self._uchar_error(pos)
 
-    def _read_uchar(self) -> str:
-        start = self.pos
-        self.pos += 1
-        kind = self.peek()
-        if kind == "u":
-            width = 4
-        elif kind == "U":
-            width = 8
-        else:
-            raise self.error("only \\u and \\U escapes are allowed in IRIs", start)
-        digits = self.text[self.pos + 1 : self.pos + 1 + width]
-        if len(digits) < width or any(d not in "0123456789abcdefABCDEF" for d in digits):
-            raise self.error("malformed numeric escape", start)
-        self.pos += 1 + width
-        return chr(int(digits, 16))
+    def _uchar_error(self, pos: int) -> ParseError:
+        """The error of the \\u or \\U escape at pos, which did not match."""
+        width = 4 if self.text[pos + 1] == "u" else 8
+        escape = self.text[pos : pos + 2 + width]
+        if len(escape) < 2 + width or not _HEX_RUN.fullmatch(escape, 2):
+            return self.error("malformed numeric escape", pos)
+        return self.error(f"numeric escape {escape} is not a Unicode scalar value", pos)
 
     def read_string(self) -> str:
-        quote = self.peek()
-        start = self.pos
         text = self.text
-        if text.startswith(quote * 3, self.pos):
-            self.pos += 3
-            closer = quote * 3
-            long_form = True
-        else:
-            self.pos += 1
-            closer = quote
-            long_form = False
-        out = []
-        while True:
-            if self.pos >= len(text):
-                raise self.error("unterminated string", start)
-            if text.startswith(closer, self.pos):
-                self.pos += len(closer)
-                return "".join(out)
-            ch = text[self.pos]
-            if ch == "\\":
-                out.append(self._read_string_escape())
-                continue
-            if ch in "\n\r" and not long_form:
-                raise self.error("newline inside single-line string", start)
-            out.append(ch)
-            self.pos += 1
+        start = self.pos
+        quote = text[start : start + 1]
+        opener = quote * 3 if text.startswith(quote * 3, start) else quote
+        forms = _STRINGS.get(opener)
+        m = forms[0].match(text, start) if forms else None
+        if m is None:
+            raise self._string_error(start, opener)
+        self.pos = m.end()
+        return _unescape(m.group(1))
 
-    def _read_string_escape(self) -> str:
-        nxt = self.peek(1)
-        simple = {"t": "\t", "b": "\b", "n": "\n", "r": "\r", "f": "\f",
-                  '"': '"', "'": "'", "\\": "\\"}
-        if nxt in simple:
-            self.pos += 2
-            return simple[nxt]
-        if nxt in "uU":
-            return self._read_uchar()
-        # regex patterns like "\.$" travel inside strings, so an unknown
-        # escape keeps its backslash instead of failing the document
-        self.pos += 2
-        return "\\" + nxt
+    def _string_error(self, start: int, opener: str) -> ParseError:
+        text = self.text
+        if opener not in _STRINGS:  # only the end of the text has no quote
+            return self.error("unterminated string", start)
+        pos = _STRINGS[opener][1].match(text, start + len(opener)).end()
+        at_fault = text[pos : pos + 2]
+        if at_fault in ("", "\\"):  # the text ends inside the string
+            return self.error("unterminated string", start)
+        if at_fault[0] == "\\":
+            return self._uchar_error(pos)
+        return self.error("newline inside single-line string", start)
 
     def read_langtag(self) -> str:
-        self.expect("@")
-        start = self.pos
-        while self.peek().isalnum() or self.peek() == "-":
-            self.pos += 1
-        tag = self.text[start : self.pos]
-        if not _LANGTAG.match(tag):
-            raise self.error("malformed language tag", start)
-        return tag
+        m = _LANGTAG_TOKEN.match(self.text, self.pos)
+        if m is None:
+            self.expect("@")
+            raise self.error("malformed language tag")
+        self.pos = m.end()
+        return m.group(1)
 
     def read_blank_label(self) -> str:
-        start = self.pos
-        self.expect("_")
-        self.expect(":")
-        label_start = self.pos
-        while True:
-            ch = self.peek()
-            if ch and (ch.isalnum() or ch in "_-."):
-                self.pos += 1
-            else:
-                break
-        # trailing dots belong to the statement terminator, not the label
-        while self.pos > label_start and self.text[self.pos - 1] == ".":
-            self.pos -= 1
-        label = self.text[label_start : self.pos]
-        if not label:
+        m = _BLANK_LABEL.match(self.text, self.pos)
+        if m is None:
+            start = self.pos
+            self.expect("_")
+            self.expect(":")
             raise self.error("blank node label must be non-empty", start)
-        return label
+        self.pos = m.end()
+        return m.group(1)
 
     def read_word(self) -> str:
-        start = self.pos
-        while True:
-            ch = self.peek()
-            if ch and (ch.isalnum() or ch in "_-%:."):
-                self.pos += 1
-            else:
-                break
-        while self.pos > start and self.text[self.pos - 1] == ".":
-            self.pos -= 1
-        return self.text[start : self.pos]
+        m = _WORD.match(self.text, self.pos)
+        self.pos = m.end()
+        return m.group()
 
 
 def _finish_literal(sc: Scanner, value: str, resolve_dt) -> Term:

@@ -5,7 +5,10 @@ of indexes, union-find instead of graph search, version diffs instead of
 stored change sets.  Slow is fine; sharing code with the engine is not,
 with one exception: evaluate_every_key runs the engine's own discovery,
 alignment and evaluation, so that it differs from the engine only in the
-two steps it is there to check.
+two steps it is there to check.  CharScanner is the character-loop token
+reader the engine's parsers used before their readers became regular
+expressions; test_scanner.py plugs it into those parsers in place of
+rdf_model.Scanner.
 """
 
 from __future__ import annotations
@@ -14,7 +17,14 @@ import re
 from collections import Counter
 from typing import Iterable, Mapping
 
-from chrono_rdf import GraphSet, ParsedQuery, SolutionSet, Term, format_timestamp
+from chrono_rdf import (
+    GraphSet,
+    ParsedQuery,
+    ParseError,
+    SolutionSet,
+    Term,
+    format_timestamp,
+)
 from chrono_rdf.materializer import UNBOUNDED
 from chrono_rdf.sparql_engine import TriplePattern, Variable, parse_update
 from chrono_rdf.sparql_engine import evaluate as sparql_evaluate
@@ -231,3 +241,178 @@ def evaluate_every_key(query: ParsedQuery, ctx, interval=UNBOUNDED, at=None) -> 
         format_timestamp(t): sparql_evaluate(query, timeline.datasets[t])
         for t in timeline.times
     }
+
+
+class CharScanner:
+    """The character-loop token reader that rdf_model.Scanner replaced.
+
+    It reads one character at a time and is the reference the regex
+    readers are compared against (test_scanner.py).  Two defects of the
+    original are mended here as in the engine: a \\u or \\U escape must
+    name a Unicode scalar value, and a string whose text ends in a
+    backslash is unterminated.
+    """
+
+    __slots__ = ("text", "pos")
+
+    def __init__(self, text: str):
+        self.text = text
+        self.pos = 0
+
+    def location(self, pos: int | None = None) -> tuple[int, int]:
+        pos = self.pos if pos is None else pos
+        line = self.text.count("\n", 0, pos) + 1
+        column = pos - self.text.rfind("\n", 0, pos)
+        return line, column
+
+    def error(self, message: str, pos: int | None = None) -> ParseError:
+        line, column = self.location(pos)
+        return ParseError(message, line, column)
+
+    def at_end(self) -> bool:
+        return self.pos >= len(self.text)
+
+    def peek(self, ahead: int = 0) -> str:
+        i = self.pos + ahead
+        return self.text[i] if i < len(self.text) else ""
+
+    def skip_space(self) -> None:
+        text = self.text
+        while self.pos < len(text):
+            ch = text[self.pos]
+            if ch in " \t\r\n":
+                self.pos += 1
+            elif ch == "#":
+                nl = text.find("\n", self.pos)
+                self.pos = len(text) if nl < 0 else nl + 1
+            else:
+                return
+
+    def expect(self, ch: str) -> None:
+        if self.peek() != ch:
+            raise self.error(f"expected {ch!r}, found {self.peek()!r}")
+        self.pos += 1
+
+    def read_iriref(self) -> str:
+        start = self.pos
+        self.expect("<")
+        out = []
+        text = self.text
+        while True:
+            if self.pos >= len(text):
+                raise self.error("unterminated IRI", start)
+            ch = text[self.pos]
+            if ch == ">":
+                self.pos += 1
+                return "".join(out)
+            if ch in " \n\r\t\"{}|^`":
+                raise self.error(f"character {ch!r} not allowed inside an IRI")
+            if ch == "<":
+                raise self.error("character '<' not allowed inside an IRI")
+            if ch == "\\":
+                out.append(self._read_uchar())
+                continue
+            out.append(ch)
+            self.pos += 1
+
+    def _read_uchar(self) -> str:
+        start = self.pos
+        self.pos += 1
+        kind = self.peek()
+        if kind == "u":
+            width = 4
+        elif kind == "U":
+            width = 8
+        else:
+            raise self.error("only \\u and \\U escapes are allowed in IRIs", start)
+        digits = self.text[self.pos + 1 : self.pos + 1 + width]
+        if len(digits) < width or any(d not in "0123456789abcdefABCDEF" for d in digits):
+            raise self.error("malformed numeric escape", start)
+        code = int(digits, 16)
+        if code > 0x10FFFF or 0xD800 <= code <= 0xDFFF:
+            escape = self.text[start : start + 2 + width]
+            raise self.error(f"numeric escape {escape} is not a Unicode scalar value", start)
+        self.pos += 1 + width
+        return chr(code)
+
+    def read_string(self) -> str:
+        quote = self.peek()
+        start = self.pos
+        text = self.text
+        if text.startswith(quote * 3, self.pos):
+            self.pos += 3
+            closer = quote * 3
+            long_form = True
+        else:
+            self.pos += 1
+            closer = quote
+            long_form = False
+        out = []
+        while True:
+            if self.pos >= len(text):
+                raise self.error("unterminated string", start)
+            if text.startswith(closer, self.pos):
+                self.pos += len(closer)
+                return "".join(out)
+            ch = text[self.pos]
+            if ch == "\\":
+                if self.pos + 1 >= len(text):
+                    raise self.error("unterminated string", start)
+                out.append(self._read_string_escape())
+                continue
+            if ch in "\n\r" and not long_form:
+                raise self.error("newline inside single-line string", start)
+            out.append(ch)
+            self.pos += 1
+
+    def _read_string_escape(self) -> str:
+        nxt = self.peek(1)
+        simple = {"t": "\t", "b": "\b", "n": "\n", "r": "\r", "f": "\f",
+                  '"': '"', "'": "'", "\\": "\\"}
+        if nxt in simple:
+            self.pos += 2
+            return simple[nxt]
+        if nxt in "uU":
+            return self._read_uchar()
+        self.pos += 2
+        return "\\" + nxt
+
+    def read_langtag(self) -> str:
+        self.expect("@")
+        start = self.pos
+        while self.peek().isalnum() or self.peek() == "-":
+            self.pos += 1
+        tag = self.text[start : self.pos]
+        if not re.match(r"^[A-Za-z]+(-[A-Za-z0-9]+)*$", tag):
+            raise self.error("malformed language tag", start)
+        return tag
+
+    def read_blank_label(self) -> str:
+        start = self.pos
+        self.expect("_")
+        self.expect(":")
+        label_start = self.pos
+        while True:
+            ch = self.peek()
+            if ch and (ch.isalnum() or ch in "_-."):
+                self.pos += 1
+            else:
+                break
+        while self.pos > label_start and self.text[self.pos - 1] == ".":
+            self.pos -= 1
+        label = self.text[label_start : self.pos]
+        if not label:
+            raise self.error("blank node label must be non-empty", start)
+        return label
+
+    def read_word(self) -> str:
+        start = self.pos
+        while True:
+            ch = self.peek()
+            if ch and (ch.isalnum() or ch in "_-%:."):
+                self.pos += 1
+            else:
+                break
+        while self.pos > start and self.text[self.pos - 1] == ".":
+            self.pos -= 1
+        return self.text[start : self.pos]

@@ -189,6 +189,27 @@ class TestCache:
         assert json.loads(captured.err)["error"] == "ConfigError"
 
 
+def with_updates(provenance, text: str):
+    """The provenance with every stored update string replaced by text."""
+    return frozenset(
+        quad(q.subject, q.predicate, literal(text), q.graph)
+        if q.predicate.value == HAS_UPDATE else q
+        for q in provenance
+    )
+
+
+def saved_config(tmp_path, data_text: str, provenance) -> str:
+    """Save the data text and the provenance, and a config naming both files."""
+    (tmp_path / "data.nq").write_text(data_text, encoding="utf-8")
+    (tmp_path / "prov.nq").write_text(serialize(provenance), encoding="utf-8")
+    path = tmp_path / "saved.json"
+    path.write_text(json.dumps({
+        "data": [str(tmp_path / "data.nq")],
+        "provenance": [str(tmp_path / "prov.nq")],
+    }), encoding="utf-8")
+    return str(path)
+
+
 def usage_error(capsys) -> str:
     """The message of the one JSON usage error on stderr; nothing on stdout."""
     captured = capsys.readouterr()
@@ -319,23 +340,40 @@ class TestExitCodes:
     def test_update_that_does_not_parse_is_4(
         self, capsys, doi_data, doi_provenance, tmp_path
     ):
-        broken = literal("DELETE DATA { <" + ID + "> ?p ?o . }")
-        provenance = frozenset(
-            quad(q.subject, q.predicate, broken, q.graph)
-            if q.predicate.value == HAS_UPDATE else q
-            for q in doi_provenance
-        )
-        (tmp_path / "data.nq").write_text(serialize(doi_data), encoding="utf-8")
-        (tmp_path / "prov.nq").write_text(serialize(provenance), encoding="utf-8")
-        path = tmp_path / "broken.json"
-        path.write_text(json.dumps({
-            "data": [str(tmp_path / "data.nq")],
-            "provenance": [str(tmp_path / "prov.nq")],
-        }), encoding="utf-8")
-        code = main(["--config", str(path), "materialize", ID, "--all"])
+        provenance = with_updates(doi_provenance, "DELETE DATA { <" + ID + "> ?p ?o . }")
+        path = saved_config(tmp_path, serialize(doi_data), provenance)
+        code = main(["--config", path, "materialize", ID, "--all"])
         captured = capsys.readouterr()
         assert code == 4
         assert json.loads(captured.err)["error"] == "BadDelta"
+
+    @pytest.mark.parametrize("escape", ["\\U00110000", "\\uD800"])
+    def test_source_with_a_non_scalar_escape_is_3(
+        self, capsys, doi_data, doi_provenance, tmp_path, escape
+    ):
+        data = serialize(doi_data) + f'<{ID}> <{HAS_VALUE}> "bad {escape}" .\n'
+        path = saved_config(tmp_path, data, doi_provenance)
+        code = main(["--config", path, "materialize", ID, "--all"])
+        captured = capsys.readouterr()
+        assert code == 3
+        assert captured.out == ""
+        error = json.loads(captured.err)
+        assert error["error"] == "ConfigError"
+        assert f"numeric escape {escape} is not a Unicode scalar value" in error["message"]
+
+    @pytest.mark.parametrize("escape", ["\\U00110000", "\\uD800"])
+    def test_update_with_a_non_scalar_escape_is_4(
+        self, capsys, doi_data, doi_provenance, tmp_path, escape
+    ):
+        update = f'INSERT DATA {{ <{ID}> <{HAS_VALUE}> "bad {escape}" . }}'
+        path = saved_config(tmp_path, serialize(doi_data), with_updates(doi_provenance, update))
+        code = main(["--config", path, "materialize", ID, "--all"])
+        captured = capsys.readouterr()
+        assert code == 4
+        assert captured.out == ""
+        error = json.loads(captured.err)
+        assert error["error"] == "BadDelta"
+        assert f"numeric escape {escape} is not a Unicode scalar value" in error["message"]
 
     def test_unbounded_query_is_4(self, capsys, config_path, monkeypatch):
         monkeypatch.setattr("sys.stdin", io.StringIO("SELECT * WHERE { ?s ?p ?o }"))
