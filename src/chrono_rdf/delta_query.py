@@ -11,7 +11,9 @@ Each record carries the net change of that snapshot for that entity:
 what the update inserted minus what it deleted, and the reverse.  A
 snapshot that leaves the entity with no quads at all marks a deletion;
 that is verified by rebuilding the candidate version, which only happens
-when the update inserted nothing.
+when the update inserted nothing.  All of an entity's candidates are
+rebuilt by one walk down its chain, from the newest version to the
+oldest candidate.
 """
 
 from __future__ import annotations
@@ -22,7 +24,7 @@ from typing import Iterable
 
 from .cache import cached_chain
 from .materializer import TimeInterval, UNBOUNDED, scope_delta
-from .provenance import Delta, DeltaPair, EntityHistory
+from .provenance import Delta, DeltaPair, EntityHistory, Snapshot
 from .rdf_model import GraphSet
 from .sources import Context
 from .sparql_engine import ParsedQuery, parse_select
@@ -115,8 +117,8 @@ def execute_delta_query(
         history = ctx.history(entity)
         if history is None:
             continue
-        snaps = history.snapshots
-        for k, snap in enumerate(snaps):
+        changes: list[tuple[int, Snapshot, DeltaPair]] = []
+        for k, snap in enumerate(history.snapshots):
             if snap.update is None:
                 continue  # a creation is not a change
             if snap.generated_at not in interval:
@@ -126,21 +128,23 @@ def execute_delta_query(
                 continue  # the update touched other entities only
             if wanted and not touches(scoped, wanted):
                 continue
-            pair = net_pair(scoped)
-            kind = "modified"
-            if not pair.added and pair.removed:
-                # nothing inserted: the version may have been emptied out
-                graphs_map, _ = cached_chain(
-                    entity, ctx.entity_quads(entity), history, k, ctx.cache
-                )
-                if not graphs_map[k]:
-                    kind = "deleted"
+            changes.append((k, snap, net_pair(scoped)))
+        # nothing inserted: the version may have been emptied out; one walk
+        # down to the oldest such snapshot rebuilds every one of them
+        emptied = [k for k, _snap, pair in changes if not pair.added and pair.removed]
+        graphs_map: dict[int, GraphSet] = {}
+        if emptied:
+            graphs_map, _ = cached_chain(
+                entity, ctx.entity_quads(entity), history, min(emptied), ctx.cache
+            )
+        for k, snap, pair in changes:
+            deleted = not pair.added and pair.removed and not graphs_map[k]
             records.append(
                 ChangeRecord(
                     entity=entity,
                     snapshot=snap.id,
                     time=snap.generated_at,
-                    kind=kind,
+                    kind="deleted" if deleted else "modified",
                     description=snap.description,
                     attributed_to=snap.attributed_to,
                     delta=pair,

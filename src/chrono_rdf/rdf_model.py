@@ -450,13 +450,15 @@ def parse_nquads(text: str) -> GraphSet:
             term = literals[key] = Term("literal", value, datatype, language)
         return term
 
-    def read_term(allow_literal: bool) -> Term:
+    def read_term(position: str) -> Term:
         ch = sc.peek()
+        if not ch:
+            raise sc.error(f"statement ends before its {position}")
         if ch == "<":
             return read_iri_term()
         if ch == "_":
             return Term("blank", sc.read_blank_label())
-        if ch in "\"'" and allow_literal:
+        if ch in "\"'" and position == "object":
             return read_literal()
         raise sc.error(f"unexpected character {ch!r} in N-Quads statement")
 
@@ -464,13 +466,13 @@ def parse_nquads(text: str) -> GraphSet:
         sc.skip_space()
         if sc.at_end():
             return frozenset(quads)
-        s = read_term(allow_literal=False)
+        s = read_term("subject")
         sc.skip_space()
-        p = read_term(allow_literal=False)
+        p = read_term("predicate")
         if not p.is_iri:
             raise sc.error("predicate must be an IRI")
         sc.skip_space()
-        o = read_term(allow_literal=True)
+        o = read_term("object")
         sc.skip_space()
         graph: str | None = None
         if sc.peek() == "<":

@@ -412,7 +412,7 @@ class Context:
             if self._local_index is None:
                 self._local_index = TripleIndex(self._file_quads())
             assert isinstance(pattern.subject, Variable)
-            for binding in match_pattern(pattern, {}, self._local_index):
+            for binding, _stamp in match_pattern(pattern, {}, self._local_index):
                 term = binding[pattern.subject]
                 if term.is_iri:
                     out.add(term.value)

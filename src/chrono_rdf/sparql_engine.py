@@ -12,7 +12,9 @@ evaluate runs a parsed query over the union of all graphs in a quad set.
 Graph names do not take part in matching.  Solutions form a bag; distinct
 collapses it.  FILTER applies last and treats an unbound or non-literal
 argument as false, which matches how these filters behave on the string
-values they were written for.
+values they were written for.  Given key-stamped quads, evaluate answers
+at every key of a timeline in one pass; a plain quad set is the one-key
+case of the same join.
 """
 
 from __future__ import annotations
@@ -532,17 +534,29 @@ def format_query(query: ParsedQuery) -> str:
 
 
 class TripleIndex:
-    """Positional lookup over the distinct triples of a quad set."""
+    """Positional lookup over the distinct triples of a quad set.
 
-    def __init__(self, data: Iterable[Quad] | Iterable[Triple]):
-        triples: set[Triple] = set()
-        for item in data:
-            triples.add(item.triple if isinstance(item, Quad) else item)
-        self.triples = triples
+    Each triple carries a key stamp: an int whose bit k is set when the
+    triple holds at key k.  A plain quad set is the one-key case, every
+    stamp 1; a mapping from quads (or triples) to stamps gives each
+    triple the union of the stamps of the quads that hold it, so a
+    triple held in two graphs holds wherever either quad does.
+    """
+
+    def __init__(
+        self,
+        data: Iterable[Quad] | Iterable[Triple] | Mapping[Quad, int] | Mapping[Triple, int],
+    ):
+        items = data.items() if isinstance(data, Mapping) else ((item, 1) for item in data)
+        stamps: dict[Triple, int] = {}
+        for item, stamp in items:
+            t = item.triple if isinstance(item, Quad) else item
+            stamps[t] = stamps.get(t, 0) | stamp
+        self.stamps = stamps
         self.by_subject: dict[Term, list[Triple]] = defaultdict(list)
         self.by_object: dict[Term, list[Triple]] = defaultdict(list)
         self.by_predicate: dict[Term, list[Triple]] = defaultdict(list)
-        for t in triples:
+        for t in stamps:
             self.by_subject[t.subject].append(t)
             self.by_object[t.object].append(t)
             self.by_predicate[t.predicate].append(t)
@@ -554,15 +568,16 @@ class TripleIndex:
             return self.by_object.get(o, ())
         if p is not None:
             return self.by_predicate.get(p, ())
-        return self.triples
+        return self.stamps
 
 
 def match_pattern(
     pattern: TriplePattern,
     binding: Mapping[Variable, Term],
     index: TripleIndex,
-) -> Iterator[dict[Variable, Term]]:
-    """All extensions of `binding` that satisfy `pattern` over `index`."""
+) -> Iterator[tuple[dict[Variable, Term], int]]:
+    """All extensions of `binding` that satisfy `pattern` over `index`,
+    each with the key stamp of the triple it matched."""
 
     def resolved(term: PatternTerm) -> Term | None:
         if isinstance(term, Variable):
@@ -587,7 +602,7 @@ def match_pattern(
                 ok = False
                 break
         if ok:
-            yield new
+            yield new, index.stamps[t]
 
 
 def readable_by(patterns: Iterable[TriplePattern]) -> Callable[[Quad], bool]:
@@ -629,48 +644,81 @@ def _filter_ok(f: Filter, row: Mapping[Variable, Term]) -> bool:
     return compiled.search(term.value) is not None
 
 
-def evaluate(query: ParsedQuery, data: Iterable[Quad]) -> SolutionSet:
-    """Evaluate a parsed query over the union of all graphs in `data`."""
+def evaluate(
+    query: ParsedQuery,
+    data: Iterable[Quad] | Mapping[Quad, int],
+    keys: int | None = None,
+) -> SolutionSet | list[SolutionSet]:
+    """Evaluate a parsed query over the union of all graphs in `data`.
+
+    Without `keys`, `data` is a quad set and the answer one SolutionSet.
+    With `keys`, `data` maps each quad to its key stamp (bit k set when
+    the quad holds at key k) and the answer is one SolutionSet per key,
+    from a single evaluation: every row carries the stamp of the keys
+    at which it holds.  A join ANDs the stamps of what it joins and
+    drops a row whose stamp is 0; an OPTIONAL group keeps the
+    unextended row at the keys where no extension holds; FILTER does not
+    depend on the key.  Projection and DISTINCT are then applied key by
+    key, and a key at which no row starts or stops holding shares the
+    previous key's SolutionSet object.
+    """
+    width = 1 if keys is None else keys
     index = TripleIndex(data)
-    rows: list[dict[Variable, Term]] = [{}]
+    rows: list[tuple[dict[Variable, Term], int]] = [({}, (1 << width) - 1)]
     for pattern in query.patterns:
         if not pattern.required:
             continue
-        rows = [ext for row in rows for ext in match_pattern(pattern, row, index)]
+        rows = [
+            (ext, live)
+            for row, stamp in rows
+            for ext, held in match_pattern(pattern, row, index)
+            if (live := stamp & held)
+        ]
         if not rows:
             break
 
     groups = sorted({p.optional_group for p in query.patterns if p.optional_group is not None})
     for g in groups:
         members = [p for p in query.patterns if p.optional_group == g]
-        joined: list[dict[Variable, Term]] = []
-        for row in rows:
-            exts = [row]
+        joined: list[tuple[dict[Variable, Term], int]] = []
+        for row, stamp in rows:
+            exts = [(row, stamp)]
             for pattern in members:
-                exts = [e2 for e in exts for e2 in match_pattern(pattern, e, index)]
-            if exts:
-                joined.extend(exts)
-            else:
-                joined.append(row)
+                exts = [
+                    (e2, live)
+                    for e, s in exts
+                    for e2, held in match_pattern(pattern, e, index)
+                    if (live := s & held)
+                ]
+            extended = 0
+            for _ext, s in exts:
+                extended |= s
+            joined.extend(exts)
+            if stamp & ~extended:
+                joined.append((row, stamp & ~extended))
         rows = joined
 
     if query.filters:
-        rows = [row for row in rows if all(_filter_ok(f, row) for f in query.filters)]
+        rows = [(row, s) for row, s in rows if all(_filter_ok(f, row) for f in query.filters)]
 
     projected = query.projected or query.all_variables()
     out = [
-        Binding.from_dict({v.name: row[v] for v in projected if v in row})
-        for row in rows
+        (Binding.from_dict({v.name: row[v] for v in projected if v in row}), s)
+        for row, s in rows
     ]
-    if query.distinct:
-        seen: set[Binding] = set()
-        unique: list[Binding] = []
-        for b in out:
-            if b not in seen:
-                seen.add(b)
-                unique.append(b)
-        out = unique
-    return SolutionSet(tuple(out))
+    # bit k of s ^ (s << 1) is set where the row starts or stops holding
+    changes = 1
+    for _b, s in out:
+        changes |= s ^ (s << 1)
+    answers: list[SolutionSet] = []
+    for k in range(width):
+        if changes >> k & 1:
+            live_rows = [b for b, s in out if s >> k & 1]
+            if query.distinct:
+                live_rows = list(dict.fromkeys(live_rows))
+            answer = SolutionSet(tuple(live_rows))
+        answers.append(answer)
+    return answers[0] if keys is None else answers
 
 
 def parse_update(text: str, blank_scope: str | None = None) -> Delta:

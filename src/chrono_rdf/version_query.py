@@ -19,10 +19,14 @@ could match, variables counting as wildcards; BGP, OPTIONAL and FILTER
 read nothing else.  The narrowed versions are aligned on the global list
 of snapshot times: an entity that did not change at time t keeps its
 previous state, copied forward, and all states that share a time are
-merged into one graph per time.  A narrowed version stays a version even
-when it is empty, so the keys are those of the full states.  Last, the
-query is evaluated at each key whose merged narrowed state differs from
-the previous key's; every other key reuses the previous answer.
+merged into one graph per time.  The copying is kept as key stamps, not
+copies: each narrowed quad carries an int whose bit k is set when some
+entity's version holds it at key k.  A narrowed version stays a version
+even when it is empty, so the keys are those of the full states.  Last,
+the query is evaluated once over the stamped quads: a join ANDs stamps,
+so each solution row knows the keys at which it holds, and the rows are
+projected key by key.  A key at which no row starts or stops holding
+shares the previous key's answer.
 
 A query whose patterns are all isolated and carry no ground term at all
 would make the whole dataset relevant; it is rejected as unbounded.
@@ -31,10 +35,11 @@ Discovery also refuses to walk past the configured entity limit.
 
 from __future__ import annotations
 
+from bisect import bisect_left
 from collections import deque
 from dataclasses import dataclass, replace
 from datetime import datetime
-from typing import Iterable, Mapping, Sequence
+from typing import Iterable, Iterator, Mapping, Sequence
 
 from .cache import cached_chain
 from .errors import ExplosionLimit, UnboundedQuery
@@ -45,7 +50,7 @@ from .materializer import (
     _floor_index,
 )
 from .provenance import EntityHistory, format_timestamp
-from .rdf_model import GraphSet, Term
+from .rdf_model import GraphSet, Quad, Term
 from .sources import Context
 from .sparql_engine import (
     ParsedQuery,
@@ -296,7 +301,7 @@ def explicate(
             chased.add(state)
             index = TripleIndex(state)
             for pattern in required_joined:
-                for binding in match_pattern(pattern, {}, index):
+                for binding, _stamp in match_pattern(pattern, {}, index):
                     for var, term in binding.items():
                         if (
                             var in plan.subject_variables
@@ -313,12 +318,42 @@ def explicate(
     )
 
 
+class _StampedStates(Mapping[datetime, GraphSet]):
+    """Each key's merged state, read from the key stamps when asked for."""
+
+    def __init__(self, times: tuple[datetime, ...], stamps: Mapping[Quad, int]):
+        self._times = times
+        self._stamps = stamps
+
+    def __getitem__(self, t: datetime) -> GraphSet:
+        k = bisect_left(self._times, t)
+        if k == len(self._times) or self._times[k] != t:
+            raise KeyError(t)
+        return frozenset(q for q, stamp in self._stamps.items() if stamp >> k & 1)
+
+    def __iter__(self) -> Iterator[datetime]:
+        return iter(self._times)
+
+    def __len__(self) -> int:
+        return len(self._times)
+
+
 @dataclass(frozen=True)
 class Timeline:
-    """Merged dataset states keyed by the snapshot times in the interval."""
+    """Merged dataset states keyed by the snapshot times in the interval.
+
+    `stamps` maps every quad some key holds to its key stamp: bit k is
+    set when the state at times[k] holds the quad.  `datasets` maps each
+    time to that state; it is derived from the stamps on each read, one
+    pass over the stamped quads per key read.
+    """
 
     times: tuple[datetime, ...]
-    datasets: Mapping[datetime, GraphSet]
+    stamps: Mapping[Quad, int]
+
+    @property
+    def datasets(self) -> Mapping[datetime, GraphSet]:
+        return _StampedStates(self.times, self.stamps)
 
 
 def align_and_merge(
@@ -332,6 +367,11 @@ def align_and_merge(
     at or before that time; versions live before the interval opened
     supply the starting state.  Running the alignment on its own output
     changes nothing, since each time then holds exactly one version.
+
+    The copying is done with key stamps, not copies: a version is live
+    from its own key (key 0 when it predates the interval, or has no
+    time) up to the next version's key, and each of its quads gets the
+    bits of those keys.
     """
     times = sorted({
         v.time
@@ -343,26 +383,16 @@ def align_and_merge(
     def sort_key(v: VersionedGraph):
         return (v.time is not None, v.time or datetime.min)
 
-    pointers: dict[str, int] = {}
-    ordered: dict[str, list[VersionedGraph]] = {}
-    active: dict[str, GraphSet] = {}
-    for entity, vs in versions_by_entity.items():
-        ordered[entity] = sorted(vs, key=sort_key)
-        pointers[entity] = 0
-
-    datasets: dict[datetime, GraphSet] = {}
-    for t in times:
-        for entity, vs in ordered.items():
-            k = pointers[entity]
-            while k < len(vs) and (vs[k].time is None or vs[k].time <= t):
-                active[entity] = vs[k].graphs
-                k += 1
-            pointers[entity] = k
-        merged: set = set()
-        for graphs in active.values():
-            merged |= graphs
-        datasets[t] = frozenset(merged)
-    return Timeline(times=tuple(times), datasets=datasets)
+    stamps: dict[Quad, int] = {}
+    for vs in versions_by_entity.values():
+        ordered = sorted(vs, key=sort_key)
+        starts = [0 if v.time is None else bisect_left(times, v.time) for v in ordered]
+        for v, start, end in zip(ordered, starts, starts[1:] + [len(times)]):
+            live = (1 << end) - (1 << start)
+            if live:
+                for q in v.graphs:
+                    stamps[q] = stamps.get(q, 0) | live
+    return Timeline(times=tuple(times), stamps=stamps)
 
 
 @dataclass(frozen=True)
@@ -385,7 +415,9 @@ def execute_version_query(
 
     The outcome's timeline holds the merged states narrowed to the quads
     some pattern of the query could match, not every quad of every
-    relevant entity.
+    relevant entity.  In cross-version mode a key at which no solution
+    row starts or stops holding shares the previous key's SolutionSet
+    object.
     """
     parsed = parse_select(query) if isinstance(query, str) else query
     plan = classify(parsed)
@@ -409,19 +441,13 @@ def execute_version_query(
                 if v.time is not None:
                     chosen_times.append(v.time)
         key_time = max(chosen_times) if chosen_times else at
-        timeline = Timeline(
-            times=(key_time,), datasets={key_time: frozenset(merged)}
-        )
-        results[format_timestamp(key_time)] = evaluate(parsed, timeline.datasets[key_time])
+        timeline = Timeline(times=(key_time,), stamps=dict.fromkeys(merged, 1))
+        results[format_timestamp(key_time)] = evaluate(parsed, merged)
     else:
         timeline = align_and_merge(versions, interval)
-        # the answer can only change where the quads the query reads changed
-        previous: GraphSet | None = None
-        for t in timeline.times:
-            data = timeline.datasets[t]
-            if data != previous:
-                answer = evaluate(parsed, data)
-                previous = data
+        # one evaluation over the stamped quads answers every key
+        answers = evaluate(parsed, timeline.stamps, keys=len(timeline.times))
+        for t, answer in zip(timeline.times, answers):
             results[format_timestamp(t)] = answer
 
     return VersionQueryOutcome(

@@ -221,8 +221,9 @@ def evaluate_every_key(query: ParsedQuery, ctx, interval=UNBOUNDED, at=None) -> 
 
     Discovery, alignment and evaluation are the engine's own; what this
     leaves out is the narrowing of each version to the quads the query
-    can read and the reuse of an answer where those quads did not
-    change, so it answers the way every key was evaluated before both.
+    can read and the one evaluation over key-stamped quads: it reads
+    every key's full state from the timeline and evaluates it on its
+    own, the way every key was evaluated before both.
     """
     mode = "single" if at is not None else "cross"
     explication = explicate(classify(query), ctx, interval=interval, mode=mode, at=at)

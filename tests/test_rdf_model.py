@@ -196,6 +196,16 @@ class TestParseNquads:
         with pytest.raises(ParseError):
             parse_nquads("<http://a.example/> <http://p.example/> <http://o.example/>\n")
 
+    @pytest.mark.parametrize("text, column, missing", [
+        ("<http://a/s> <http://a/p>", 26, "object"),
+        ("<http://a/s> <http://a/p>  ", 28, "object"),
+        ("<http://a/s>", 13, "predicate"),
+    ])
+    def test_statement_cut_short_names_the_missing_term(self, text, column, missing):
+        with pytest.raises(ParseError) as err:
+            parse_nquads(text)
+        assert str(err.value) == f"line 1, column {column}: statement ends before its {missing}"
+
     def test_comments_and_blank_lines_skipped(self):
         text = "# header\n\n<http://a.example/> <http://p.example/> \"x\" .\n"
         assert len(parse_nquads(text)) == 1

@@ -665,13 +665,13 @@ def _x(p: str, o) -> object:
 
 @pytest.fixture()
 def evaluations(monkeypatch):
-    """The datasets version_query hands to evaluate, in call order."""
+    """The data version_query hands to evaluate, in call order."""
     seen = []
     real = version_query.evaluate
 
-    def counted(query, data):
+    def counted(query, data, *args, **kwargs):
         seen.append(data)
-        return real(query, data)
+        return real(query, data, *args, **kwargs)
 
     monkeypatch.setattr(version_query, "evaluate", counted)
     return seen
@@ -681,8 +681,15 @@ def _rows(solutions) -> list[dict[str, str]]:
     return [{k: t.value for k, t in b.values} for b in solutions.sorted_rows()]
 
 
+def _shared(outcome) -> list[bool]:
+    """For each key after the first, whether it shares the previous key's
+    SolutionSet object."""
+    answers = list(outcome.results.values())
+    return [later is earlier for earlier, later in zip(answers, answers[1:])]
+
+
 class TestAnswerReuse:
-    """Evaluate runs only where the quads the query can read changed."""
+    """One evaluation per request; unchanged keys share one answer object."""
 
     def _run(self, ctx, text):
         parsed = parse_select(text)
@@ -701,11 +708,12 @@ class TestAnswerReuse:
         outcome = self._run(ctx, f"SELECT ?v WHERE {{ <{X}> <{X_P}> ?v }}")
         assert len(outcome.results) == 4
         assert len(evaluations) == 1
+        assert _shared(outcome) == [True, True, True]
         assert all(_rows(s) == [{"v": "v"}] for s in outcome.results.values())
         # the timeline holds what the query can read, not the entity's whole state
         assert set(outcome.timeline.datasets.values()) == {frozenset({_x(X_P, literal("v"))})}
 
-    def test_a_change_only_optional_sees_is_evaluated(self, evaluations):
+    def test_a_change_only_optional_sees_gets_a_new_answer(self, evaluations):
         ctx = _lived(
             {_x(X_P, literal("v")), _x(X_O, literal("w")), _x(X_Q, literal("u1"))},
             [f'INSERT DATA {{ <{X}> <{X_O}> "w" . }}',
@@ -714,12 +722,13 @@ class TestAnswerReuse:
         outcome = self._run(
             ctx, f"SELECT ?v ?w WHERE {{ <{X}> <{X_P}> ?v OPTIONAL {{ <{X}> <{X_O}> ?w }} }}"
         )
-        assert len(evaluations) == 2
+        assert len(evaluations) == 1
+        assert _shared(outcome) == [False, True]
         assert [_rows(s) for s in outcome.results.values()] == [
             [{"v": "v"}], [{"v": "v", "w": "w"}], [{"v": "v", "w": "w"}],
         ]
 
-    def test_a_changed_filtered_literal_is_evaluated(self, evaluations):
+    def test_a_changed_filtered_literal_gets_a_new_answer(self, evaluations):
         ctx = _lived(
             {_x(X_P, literal("keep-3"))},
             [_swap(f'<{X}> <{X_P}> "keep-1" .', f'<{X}> <{X_P}> "drop-2" .'),
@@ -728,7 +737,8 @@ class TestAnswerReuse:
         outcome = self._run(
             ctx, f'SELECT ?v WHERE {{ <{X}> <{X_P}> ?v FILTER REGEX(?v, "^keep") }}'
         )
-        assert len(evaluations) == 3
+        assert len(evaluations) == 1
+        assert _shared(outcome) == [False, False]
         assert [_rows(s) for s in outcome.results.values()] == [
             [{"v": "keep-1"}], [], [{"v": "keep-3"}],
         ]
@@ -740,6 +750,9 @@ class TestAnswerReuse:
             [_swap(f"<{X}> <{X_P}> <{X}> .", f"<{X}> <{X_P}> <{y}> .")],
         )
         outcome = self._run(ctx, f"SELECT ?s WHERE {{ ?s <{X_P}> ?s }}")
-        assert len(evaluations) == 2
+        assert len(evaluations) == 1
         assert [_rows(s) for s in outcome.results.values()] == [[{"s": X}], []]
-        assert evaluations[-1] == frozenset({_x(X_P, iri(y))})
+        # both quads are read, each at its own key; <q> is narrowed away
+        assert evaluations[-1] == {_x(X_P, iri(X)): 0b01, _x(X_P, iri(y)): 0b10}
+        last = outcome.timeline.times[-1]
+        assert outcome.timeline.datasets[last] == frozenset({_x(X_P, iri(y))})
