@@ -28,8 +28,6 @@ def main() -> int:
     ap.add_argument("--entities", type=int, default=50)
     ap.add_argument("--snapshot-mean", type=float, default=20.0)
     ap.add_argument("--no-ledger", action="store_true")
-    ap.add_argument("--cache", action="store_true",
-                    help="wire a version cache directory into the config")
     args = ap.parse_args()
 
     spec = GenSpec(
@@ -43,8 +41,6 @@ def main() -> int:
         "data": [str(out / "data.nq")],
         "provenance": [str(out / "provenance.nq")],
     }
-    if args.cache:
-        config["cache_dir"] = str(out / "cache")
     (out / "sources.json").write_text(
         json.dumps(config, indent=2) + "\n", encoding="utf-8"
     )

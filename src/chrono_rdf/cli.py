@@ -1,7 +1,7 @@
 """Command line interface.
 
 Subcommands: materialize an entity version, run a version query, run a
-delta query, clear the cache, and generate plus run the benchmark.
+delta query, and generate plus run the benchmark.
 Outputs are JSON documents on stdout (N-Quads for a single materialized
 version when asked); errors are JSON objects on stderr.  Exit codes: 0
 success, 2 usage, 3 configuration or source trouble, 4 domain errors
@@ -18,16 +18,10 @@ import sys
 from datetime import datetime, timezone
 from pathlib import Path
 
-from .cache import VersionCache, cached_chain
 from .delta_query import execute_delta_query
-from .errors import (
-    BeforeCreation,
-    CacheIO,
-    ChronoRdfError,
-    ConfigError,
-    NetworkError,
-    NoHistory,
-)
+from .errors import BeforeCreation, ChronoRdfError, ConfigError, NetworkError, NoHistory
+# perfbench/spans.py hooks the chain walker under the name cached_chain
+from .materializer import _chain as cached_chain
 from .materializer import TimeInterval, UNBOUNDED, materialize_span
 from .provenance import Snapshot, format_timestamp, parse_timestamp
 from .rdf_model import Term, serialize
@@ -88,13 +82,8 @@ def _snapshot_json(snapshot: Snapshot | None) -> dict | None:
     }
 
 
-def _emit(document: dict, quiet: bool, warnings: tuple[str, ...] = ()) -> None:
-    if warnings and not quiet:
-        for line in warnings:
-            print(f"warning: {line}", file=sys.stderr)
+def _emit(document: dict) -> None:
     document["generated_at"] = _generated_at()
-    if warnings:
-        document["warnings"] = list(warnings)
     print(json.dumps(document, indent=2, sort_keys=True))
 
 
@@ -136,14 +125,8 @@ def _cmd_materialize(args: argparse.Namespace) -> int:
                 format_timestamp(args.at),
                 format_timestamp(history.creation.generated_at),
             )
-        graphs, warnings = cached_chain(
-            entity, ctx.entity_quads(entity), history, floor, ctx.cache
-        )
-        graph = graphs[floor]
+        graph = cached_chain(entity, ctx.entity_quads(entity), history, floor)[floor]
         if args.format == "nquads":
-            if warnings and not args.quiet:
-                for line in warnings:
-                    print(f"warning: {line}", file=sys.stderr)
             sys.stdout.write(serialize(graph))
             return 0
         _emit(
@@ -152,15 +135,12 @@ def _cmd_materialize(args: argparse.Namespace) -> int:
                 "at": format_timestamp(args.at),
                 "snapshot": _snapshot_json(history.snapshots[floor]),
                 "graph": serialize(graph),
-            },
-            args.quiet,
-            tuple(ctx.warnings) + warnings,
+            }
         )
         return 0
     if history is None:
         raise NoHistory(entity)
     versions = materialize_span(entity, ctx.entity_quads(entity), history, _interval(args))
-    warnings = tuple(w for v in versions for w in v.warnings)
     _emit(
         {
             "entity": entity,
@@ -172,9 +152,7 @@ def _cmd_materialize(args: argparse.Namespace) -> int:
                 }
                 for v in versions
             ],
-        },
-        args.quiet,
-        tuple(ctx.warnings) + warnings,
+        }
     )
     return 0
 
@@ -197,9 +175,7 @@ def _cmd_query(args: argparse.Namespace) -> int:
             "relevant_entities": sorted(outcome.relevant_entities),
             "snapshots_involved": outcome.snapshots_involved,
             "timeline": [format_timestamp(t) for t in outcome.timeline.times],
-        },
-        args.quiet,
-        tuple(ctx.warnings) + outcome.warnings,
+        }
     )
     return 0
 
@@ -227,23 +203,8 @@ def _cmd_delta(args: argparse.Namespace) -> int:
             ],
             "relevant_entities": sorted(outcome.relevant_entities),
             "entities_involved": outcome.entities_involved,
-        },
-        args.quiet,
-        tuple(ctx.warnings) + outcome.warnings,
+        }
     )
-    return 0
-
-
-def _cmd_cache_clear(args: argparse.Namespace) -> int:
-    path = args.config or os.environ.get("CHRONO_RDF_CONFIG")
-    if not path:
-        raise ConfigError("no configuration: pass --config or set CHRONO_RDF_CONFIG")
-    config = SourceConfig.from_file(path)
-    if not config.cache_dir:
-        raise ConfigError("configuration has no cache_dir")
-    cache = VersionCache(config.cache_dir)
-    removed = cache.clear()
-    _emit({"cleared": removed, "directory": str(config.cache_dir)}, args.quiet)
     return 0
 
 
@@ -261,8 +222,7 @@ def _cmd_bench(args: argparse.Namespace) -> int:
         {
             "out": str(out),
             "rows": [row.as_dict() for row in report.rows],
-        },
-        args.quiet,
+        }
     )
     return 0
 
@@ -288,9 +248,6 @@ def build_parser() -> argparse.ArgumentParser:
         description="Time traversal queries over RDF datasets with change tracking.",
     )
     parser.add_argument("--config", help="path to a JSON source configuration")
-    parser.add_argument(
-        "--quiet", action="store_true", help="suppress warnings on stderr"
-    )
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("materialize", help="reconstruct entity versions")
@@ -322,11 +279,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--from", dest="since", type=_time_arg(False), help="range start")
     p.add_argument("--to", dest="until", type=_time_arg(True), help="range end")
     p.set_defaults(func=_cmd_delta)
-
-    p = sub.add_parser("cache", help="cache maintenance")
-    cache_sub = p.add_subparsers(dest="cache_command", required=True)
-    pc = cache_sub.add_parser("clear", help="drop all cached versions")
-    pc.set_defaults(func=_cmd_cache_clear)
 
     p = sub.add_parser("bench", help="generate a corpus and run the benchmark")
     p.add_argument("--out", required=True, help="output directory")
@@ -371,7 +323,7 @@ def main(argv: list[str] | None = None) -> int:
         return int(exc.code or 0)
     try:
         return args.func(args)
-    except (ConfigError, NetworkError, CacheIO) as exc:
+    except (ConfigError, NetworkError) as exc:
         return _fail(exc, 3)
     except ChronoRdfError as exc:
         return _fail(exc, 4)

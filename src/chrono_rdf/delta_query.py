@@ -22,7 +22,8 @@ from dataclasses import dataclass
 from datetime import datetime
 from typing import Iterable
 
-from .cache import cached_chain
+# perfbench/spans.py hooks the chain walker under the name cached_chain
+from .materializer import _chain as cached_chain
 from .materializer import TimeInterval, UNBOUNDED, scope_delta
 from .provenance import Delta, DeltaPair, EntityHistory, Snapshot
 from .rdf_model import GraphSet
@@ -88,8 +89,7 @@ def get_delta(
     snap = history.by_id(snapshot_id)
     if snap.update is None:
         k = history.snapshots.index(snap)
-        graphs_map, _ = cached_chain(entity, data, history, k, None)
-        return DeltaPair(added=graphs_map[k], removed=frozenset())
+        return DeltaPair(added=cached_chain(entity, data, history, k)[k], removed=frozenset())
     return net_pair(scope_delta(snap.update, entity))
 
 
@@ -98,7 +98,6 @@ class DeltaQueryOutcome:
     report: ChangeReport
     relevant_entities: frozenset[str]
     entities_involved: int
-    warnings: tuple[str, ...]
 
 
 def execute_delta_query(
@@ -134,9 +133,7 @@ def execute_delta_query(
         emptied = [k for k, _snap, pair in changes if not pair.added and pair.removed]
         graphs_map: dict[int, GraphSet] = {}
         if emptied:
-            graphs_map, _ = cached_chain(
-                entity, ctx.entity_quads(entity), history, min(emptied), ctx.cache
-            )
+            graphs_map = cached_chain(entity, ctx.entity_quads(entity), history, min(emptied))
         for k, snap, pair in changes:
             deleted = not pair.added and pair.removed and not graphs_map[k]
             records.append(
@@ -156,7 +153,6 @@ def execute_delta_query(
         report=ChangeReport(records=tuple(records)),
         relevant_entities=explication.relevant,
         entities_involved=len(explication.relevant),
-        warnings=tuple(ctx.warnings),
     )
 
 

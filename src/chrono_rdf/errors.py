@@ -110,10 +110,6 @@ class ExplosionLimit(ChronoRdfError):
         super().__init__(f"query touches more than {limit} entities; refusing to continue")
 
 
-class CacheIO(ChronoRdfError):
-    """The version cache directory could not be read or written."""
-
-
 class ConfigError(ChronoRdfError):
     """The source configuration is missing, malformed, or incomplete."""
 

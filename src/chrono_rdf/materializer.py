@@ -5,7 +5,9 @@ entity had at snapshot k, the update strings of snapshots k+1..n-1 are
 inverted and applied newest first, starting from the entity's current
 graph.  Recovering every version this way walks the chain once, so a
 full reconstruction costs exactly n-1 delta applications instead of
-rebuilding each version from the present.
+rebuilding each version from the present.  _chain is that walk, and
+every caller that rebuilds versions goes through it; select decides
+which versions a request reads and how far down the chain it must go.
 
 Updates may mention several entities, so before application each delta
 is narrowed to the quads whose subject is the entity under
@@ -20,7 +22,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from datetime import datetime
-from typing import Iterable
+from typing import Iterable, Mapping
 
 from .errors import BeforeCreation, NoHistory
 from .provenance import (
@@ -66,15 +68,13 @@ class VersionedGraph:
     """One state of one entity.
 
     snapshot is None only for an entity with no recorded history, whose
-    current graphs count as its single, always-alive state.  warnings
-    carries non-fatal notes, such as a cache that could not be used.
+    current graphs count as its single, always-alive state.
     """
 
     entity: str
     snapshot: Snapshot | None
     graphs: GraphSet
     reconstructed: bool
-    warnings: tuple[str, ...] = ()
 
     @property
     def time(self) -> datetime | None:
@@ -166,64 +166,71 @@ def materialize_at(
             format_timestamp(when),
             format_timestamp(history.creation.generated_at),
         )
-    graphs = _chain(entity, data, history, k)[k]
-    snaps = history.snapshots
-    version = VersionedGraph(
-        entity=entity,
-        snapshot=snaps[k],
-        graphs=graphs,
-        reconstructed=(k != len(snaps) - 1),
-    )
-    others = tuple(s for j, s in enumerate(snaps) if j != k)
+    (version,) = chosen_versions(entity, history, _chain(entity, data, history, k), (k,))
+    others = tuple(s for j, s in enumerate(history.snapshots) if j != k)
     return Materialization(version=version, other_snapshots=others)
 
 
-def _floor_index(history: EntityHistory, interval: TimeInterval, include_boundary: bool) -> int:
-    n = len(history.snapshots)
-    if interval.start is None:
-        return 0
-    first_in = next(
-        (k for k, s in enumerate(history.snapshots) if s.generated_at >= interval.start),
-        None,
-    )
-    if include_boundary:
-        boundary = history.index_at(interval.start)
-        if boundary is not None:
-            return boundary if first_in is None else min(boundary, first_in)
-    return first_in if first_in is not None else n
-
-
-def _collect(
-    entity: str,
-    data: Iterable[Quad],
+def select(
     history: EntityHistory,
-    interval: TimeInterval,
-    include_boundary: bool,
-) -> list[VersionedGraph]:
-    floor = _floor_index(history, interval, include_boundary)
+    interval: TimeInterval = UNBOUNDED,
+    boundary: bool = False,
+    at: datetime | None = None,
+) -> tuple[int, tuple[int, ...]]:
+    """Which snapshot indices a request reads: (floor, chosen).
+
+    With `at`, the one version live at that instant, none before the
+    entity's creation.  Otherwise every version whose time falls in the
+    interval, plus, with `boundary`, the one live when the interval opens.
+    The chain walk has to reach down to `floor`; it is the number of
+    snapshots when nothing needs walking.  `chosen` is oldest first.
+    """
     snaps = history.snapshots
-    if floor >= len(snaps):
-        return []
-    graphs = _chain(entity, data, history, floor)
-    versions = []
-    for k in sorted(graphs):
-        snap = snaps[k]
-        is_boundary = (
-            include_boundary
-            and k == floor
-            and interval.start is not None
-            and snap.generated_at <= interval.start
+    if at is not None:
+        k = history.index_at(at)
+        return (len(snaps), ()) if k is None else (k, (k,))
+    start = interval.start
+    floor = 0
+    live = None
+    if start is not None:
+        floor = next((k for k, s in enumerate(snaps) if s.generated_at >= start), len(snaps))
+        if boundary:
+            live = history.index_at(start)
+            if live is not None:
+                floor = min(floor, live)
+    chosen = tuple(
+        k for k in range(floor, len(snaps)) if k == live or snaps[k].generated_at in interval
+    )
+    return floor, chosen
+
+
+def chosen_versions(
+    entity: str,
+    history: EntityHistory,
+    graphs: Mapping[int, GraphSet],
+    chosen: Iterable[int],
+) -> list[VersionedGraph]:
+    """The chosen versions, read from the graphs a chain walk returned."""
+    snaps = history.snapshots
+    return [
+        VersionedGraph(
+            entity=entity,
+            snapshot=snaps[k],
+            graphs=graphs[k],
+            reconstructed=(k != len(snaps) - 1),
         )
-        if snap.generated_at in interval or is_boundary:
-            versions.append(
-                VersionedGraph(
-                    entity=entity,
-                    snapshot=snap,
-                    graphs=graphs[k],
-                    reconstructed=(k != len(snaps) - 1),
-                )
-            )
-    return versions
+        for k in chosen
+    ]
+
+
+def _walk_selected(
+    entity: str, data: Iterable[Quad], provenance, interval: TimeInterval, boundary: bool
+) -> list[VersionedGraph]:
+    history = _as_history(entity, provenance)
+    floor, chosen = select(history, interval, boundary)
+    if floor >= len(history.snapshots):
+        return []
+    return chosen_versions(entity, history, _chain(entity, data, history, floor), chosen)
 
 
 def materialize_all(
@@ -237,8 +244,7 @@ def materialize_all(
     Versions come back oldest first.  An interval that contains no
     snapshot of the entity yields an empty list.
     """
-    history = _as_history(entity, provenance)
-    return _collect(entity, data, history, interval, include_boundary=False)
+    return _walk_selected(entity, data, provenance, interval, boundary=False)
 
 
 def materialize_span(
@@ -249,5 +255,4 @@ def materialize_span(
 ) -> list[VersionedGraph]:
     """Like materialize_all, but also includes the version that was live
     when the interval opens, so callers can carry unchanged state forward."""
-    history = _as_history(entity, provenance)
-    return _collect(entity, data, history, interval, include_boundary=True)
+    return _walk_selected(entity, data, provenance, interval, boundary=True)

@@ -10,8 +10,8 @@ with and without the datatype is one term, which mirrors RDF 1.1.
 
 Serialisation is canonical N-Quads: one statement per line, lines sorted
 bytewise, UTF-8 with a trailing newline on every line.  Two equal graph
-sets therefore serialise to identical bytes, which the version cache and
-the command line output rely on.
+sets therefore serialise to identical bytes, which the command line
+output relies on.
 """
 
 from __future__ import annotations

@@ -4,9 +4,8 @@ A source is either a local file (N-Quads or Turtle, by extension) or a
 SPARQL endpoint (http or https URL).  Data sources hold the live state;
 provenance sources hold the snapshot metadata.  A Context bundles any
 number of both behind one memoising facade: per-entity quads, loaded
-histories, the parsed update of every snapshot, an index from each term
-those updates mention to the snapshots that mention it, plus the
-optional version cache.
+histories, the parsed update of every snapshot, and an index from each
+term those updates mention to the snapshots that mention it.
 
 Endpoint access keeps to the SPARQL 1.1 protocol: queries go out as
 POST form data and answers come back as application/sparql-results+json.
@@ -24,8 +23,7 @@ from typing import Mapping, Sequence
 
 import requests
 
-from .cache import VersionCache
-from .errors import BadDelta, CacheIO, ConfigError, NetworkError, NoHistory, ParseError
+from .errors import BadDelta, ConfigError, NetworkError, NoHistory, ParseError
 from .provenance import (
     OCO_HAS_UPDATE_QUERY,
     SPECIALIZATION_OF,
@@ -66,13 +64,12 @@ class SourceConfig:
 
     data: tuple[str, ...]
     provenance: tuple[str, ...]
-    cache_dir: str | None = None
     explosion_limit: int = DEFAULT_EXPLOSION_LIMIT
     http_timeout: float = 30.0
 
     @classmethod
     def from_mapping(cls, raw: Mapping) -> "SourceConfig":
-        known = {"data", "provenance", "cache_dir", "explosion_limit", "http_timeout"}
+        known = {"data", "provenance", "explosion_limit", "http_timeout"}
         unknown = set(raw) - known
         if unknown:
             raise ConfigError(f"unknown configuration keys: {', '.join(sorted(unknown))}")
@@ -82,9 +79,6 @@ class SourceConfig:
                 raise ConfigError(f"'{key}' must be a non-empty list of sources")
             if not all(isinstance(v, str) and v for v in value):
                 raise ConfigError(f"'{key}' entries must be non-empty strings")
-        cache_dir = raw.get("cache_dir")
-        if cache_dir is not None and not isinstance(cache_dir, str):
-            raise ConfigError("'cache_dir' must be a string path")
         limit = raw.get("explosion_limit", DEFAULT_EXPLOSION_LIMIT)
         if not isinstance(limit, int) or isinstance(limit, bool) or limit < 1:
             raise ConfigError("'explosion_limit' must be a positive integer")
@@ -94,7 +88,6 @@ class SourceConfig:
         return cls(
             data=tuple(raw["data"]),
             provenance=tuple(raw["provenance"]),
-            cache_dir=cache_dir,
             explosion_limit=limit,
             http_timeout=float(timeout),
         )
@@ -117,7 +110,6 @@ class SourceConfig:
         return {
             "data": list(self.data),
             "provenance": list(self.provenance),
-            "cache_dir": self.cache_dir,
             "explosion_limit": self.explosion_limit,
             "http_timeout": self.http_timeout,
         }
@@ -369,15 +361,11 @@ class Context:
         self,
         data_sources: Sequence,
         provenance_sources: Sequence,
-        cache: VersionCache | None = None,
         explosion_limit: int = DEFAULT_EXPLOSION_LIMIT,
-        warnings: Sequence[str] = (),
     ):
         self.data_sources = list(data_sources)
         self.provenance_sources = list(provenance_sources)
-        self.cache = cache
         self.explosion_limit = explosion_limit
-        self.warnings = list(warnings)
         self._entity_quads: dict[str, frozenset[Quad]] = {}
         self._histories: dict[str, EntityHistory | None] = {}
         self._records: tuple[DeltaRecord, ...] | None = None
@@ -524,26 +512,16 @@ def load_sources(config: SourceConfig) -> Context:
             )
         else:
             provenance_sources.append(FileProvenanceSource(location))
-    warnings = []
-    cache = None
-    if config.cache_dir:
-        try:
-            cache = VersionCache(config.cache_dir)
-        except CacheIO as exc:
-            warnings.append(f"cache disabled: {exc}")
     return Context(
         data_sources=data_sources,
         provenance_sources=provenance_sources,
-        cache=cache,
         explosion_limit=config.explosion_limit,
-        warnings=warnings,
     )
 
 
 def memory_context(
     data: GraphSet,
     provenance: GraphSet,
-    cache: VersionCache | None = None,
     explosion_limit: int = DEFAULT_EXPLOSION_LIMIT,
 ) -> Context:
     """A context over in-memory quad sets; the library-level entry point."""
@@ -552,6 +530,5 @@ def memory_context(
     return Context(
         data_sources=[data_source],
         provenance_sources=[prov_source],
-        cache=cache,
         explosion_limit=explosion_limit,
     )

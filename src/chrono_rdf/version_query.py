@@ -41,15 +41,17 @@ from dataclasses import dataclass, replace
 from datetime import datetime
 from typing import Iterable, Iterator, Mapping, Sequence
 
-from .cache import cached_chain
 from .errors import ExplosionLimit, UnboundedQuery
+# perfbench/spans.py hooks the chain walker under the name cached_chain
+from .materializer import _chain as cached_chain
 from .materializer import (
     TimeInterval,
     UNBOUNDED,
     VersionedGraph,
-    _floor_index,
+    chosen_versions,
+    select,
 )
-from .provenance import EntityHistory, format_timestamp
+from .provenance import format_timestamp
 from .rdf_model import GraphSet, Quad, Term
 from .sources import Context
 from .sparql_engine import (
@@ -180,66 +182,6 @@ class Explication:
     versions: Mapping[str, tuple[VersionedGraph, ...]]
     relevant: frozenset[str]
     snapshots_involved: int
-    warnings: tuple[str, ...]
-
-
-def _entity_versions(
-    ctx: Context,
-    entity: str,
-    history: EntityHistory | None,
-    interval: TimeInterval,
-    mode: str,
-    at: datetime | None,
-) -> tuple[tuple[VersionedGraph, ...], int, tuple[str, ...]]:
-    """Materialise the versions one entity contributes, given the mode.
-
-    Cross-version and delta modes rebuild every in-interval version plus
-    the one live when the interval opens; single-version mode rebuilds
-    only the version live at `at`.  Entities without provenance count as
-    one static, always-alive state.  Returns (versions, levels walked,
-    warnings).
-    """
-    if history is None:
-        graphs = ctx.entity_quads(entity)
-        return (
-            (VersionedGraph(entity, None, graphs, reconstructed=False),),
-            0,
-            (),
-        )
-    snaps = history.snapshots
-    if mode == "single":
-        k = history.index_at(at)
-        if k is None:
-            return ((), 0, ())  # not alive yet at the requested time
-        floor = k
-    else:
-        floor = _floor_index(history, interval, include_boundary=True)
-        if floor >= len(snaps):
-            return ((), 0, ())
-    data = ctx.entity_quads(entity)
-    graphs_map, warnings = cached_chain(entity, data, history, floor, ctx.cache)
-    versions = []
-    for k in sorted(graphs_map):
-        if mode == "single" and k != floor:
-            continue
-        if mode != "single":
-            is_boundary = (
-                k == floor
-                and interval.start is not None
-                and snaps[k].generated_at <= interval.start
-            )
-            if not (snaps[k].generated_at in interval or is_boundary):
-                continue
-        versions.append(
-            VersionedGraph(
-                entity=entity,
-                snapshot=snaps[k],
-                graphs=graphs_map[k],
-                reconstructed=(k != len(snaps) - 1),
-                warnings=warnings,
-            )
-        )
-    return tuple(versions), len(graphs_map), warnings
 
 
 def explicate(
@@ -270,7 +212,6 @@ def explicate(
 
     versions: dict[str, tuple[VersionedGraph, ...] | None] = {}
     snapshots_involved = 0
-    warnings: list[str] = []
     required_joined = [p for p in plan.joined if p.required]
     reads_joined = readable_by(required_joined)
 
@@ -286,12 +227,22 @@ def explicate(
         if not materialize:
             versions[entity] = None
             continue
-        entity_versions, walked, entity_warnings = _entity_versions(
-            ctx, entity, ctx.history(entity), interval, mode, at
-        )
-        versions[entity] = entity_versions
-        snapshots_involved += walked
-        warnings.extend(entity_warnings)
+        history = ctx.history(entity)
+        if history is None:
+            # without provenance the current graphs are one always-alive state
+            entity_versions = [
+                VersionedGraph(entity, None, ctx.entity_quads(entity), reconstructed=False)
+            ]
+        else:
+            floor, chosen = select(
+                history, interval, boundary=True, at=at if mode == "single" else None
+            )
+            graphs: dict[int, GraphSet] = {}
+            if floor < len(history.snapshots):
+                graphs = cached_chain(entity, ctx.entity_quads(entity), history, floor)
+            entity_versions = chosen_versions(entity, history, graphs, chosen)
+            snapshots_involved += len(graphs)
+        versions[entity] = tuple(entity_versions)
         # versions with equal narrowed states bind the same IRIs
         chased: set[GraphSet] = set()
         for v in entity_versions:
@@ -314,7 +265,6 @@ def explicate(
         versions={e: v for e, v in versions.items() if v is not None},
         relevant=frozenset(versions),
         snapshots_involved=snapshots_involved,
-        warnings=tuple(warnings),
     )
 
 
@@ -402,7 +352,6 @@ class VersionQueryOutcome:
     snapshots_involved: int
     timeline: Timeline
     plan: QueryPlan
-    warnings: tuple[str, ...]
 
 
 def execute_version_query(
@@ -456,7 +405,6 @@ def execute_version_query(
         snapshots_involved=explication.snapshots_involved,
         timeline=timeline,
         plan=plan,
-        warnings=tuple(list(ctx.warnings) + list(explication.warnings)),
     )
 
 

@@ -22,7 +22,6 @@ from chrono_rdf import (
     BeforeCreation,
     TimeInterval,
     UnboundedQuery,
-    VersionCache,
     apply_delta,
     classify,
     compose,
@@ -321,45 +320,6 @@ def test_criterion_6_delta_queries_match_the_diff_oracle(small_world, announce):
     assert runs == 20
     assert deleted_records > 0
     announce(6)
-
-
-def test_criterion_7_cache_transparency(small_world, big_world, tmp_path, announce):
-    corpus = _version_query_corpus(small_world, big_world)
-
-    def canonical(outcome) -> str:
-        parts = []
-        for key in sorted(outcome.results):
-            rows = [
-                " ".join(f"?{n}={t.n3()}" for n, t in b.values)
-                for b in outcome.results[key].sorted_rows()
-            ]
-            parts.append(key + "\n" + "\n".join(sorted(rows)))
-        for t in outcome.timeline.times:
-            parts.append(serialize(outcome.timeline.datasets[t]))
-        return "\n".join(parts)
-
-    plain = [
-        canonical(execute_version_query(text, world.context()))
-        for world, text in corpus
-    ]
-
-    cold_cache = VersionCache(tmp_path / "cache")
-    cold = [
-        canonical(execute_version_query(text, world.context(cache=cold_cache)))
-        for world, text in corpus
-    ]
-    assert cold == plain
-    assert cold_cache.rebuilds > 0
-
-    hot_cache = VersionCache(tmp_path / "cache")
-    hot = [
-        canonical(execute_version_query(text, world.context(cache=hot_cache)))
-        for world, text in corpus
-    ]
-    assert hot == plain
-    assert hot_cache.rebuilds == 0
-    assert hot_cache.hits > 0
-    announce(7)
 
 
 def test_criterion_8_text_index_transparency(small_world, announce, monkeypatch):

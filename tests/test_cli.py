@@ -41,21 +41,6 @@ def config_path(doi_files, tmp_path):
     return str(path)
 
 
-@pytest.fixture()
-def cached_config_path(doi_files, tmp_path):
-    data_path, prov_path = doi_files
-    path = tmp_path / "sources.json"
-    path.write_text(
-        json.dumps({
-            "data": [str(data_path)],
-            "provenance": [str(prov_path)],
-            "cache_dir": str(tmp_path / "cache"),
-        }),
-        encoding="utf-8",
-    )
-    return str(path)
-
-
 def run_json(capsys, argv):
     code = main(argv)
     captured = capsys.readouterr()
@@ -171,22 +156,6 @@ class TestDelta:
             "--properties", USES_SCHEME,
         ])
         assert doc["records"] == []
-
-
-class TestCache:
-    def test_clear_after_use(self, capsys, cached_config_path):
-        run_json(capsys, [
-            "--config", cached_config_path,
-            "materialize", ID, "--at", "2021-10-15T00:00:00",
-        ])
-        doc = run_json(capsys, ["--config", cached_config_path, "cache", "clear"])
-        assert doc["cleared"] >= 1
-
-    def test_clear_without_cache_dir(self, capsys, config_path):
-        code = main(["--config", config_path, "cache", "clear"])
-        captured = capsys.readouterr()
-        assert code == 3
-        assert json.loads(captured.err)["error"] == "ConfigError"
 
 
 def with_updates(provenance, text: str):
@@ -336,6 +305,30 @@ class TestExitCodes:
         error = json.loads(captured.err)
         assert error["error"] == "ConfigError"
         assert "unknown configuration keys: text_index" in error["message"]
+
+    def test_cache_dir_key_is_unknown_3(self, capsys, doi_files, tmp_path):
+        data_path, prov_path = doi_files
+        path = tmp_path / "old.json"
+        path.write_text(json.dumps({
+            "data": [str(data_path)],
+            "provenance": [str(prov_path)],
+            "cache_dir": str(tmp_path / "cache"),
+        }), encoding="utf-8")
+        code = main(["--config", str(path), "materialize", ID, "--all"])
+        captured = capsys.readouterr()
+        assert code == 3
+        assert captured.out == ""
+        error = json.loads(captured.err)
+        assert error["error"] == "ConfigError"
+        assert "unknown configuration keys: cache_dir" in error["message"]
+
+    @pytest.mark.parametrize("argv,message", [
+        (["cache", "clear"], "invalid choice: 'cache'"),
+        (["--quiet", "materialize", ID, "--all"], "unrecognized arguments: --quiet"),
+    ], ids=["cache-clear", "quiet"])
+    def test_removed_commands_are_usage_errors_2(self, capsys, config_path, argv, message):
+        assert main(["--config", config_path, *argv]) == 2
+        assert message in usage_error(capsys)
 
     def test_update_that_does_not_parse_is_4(
         self, capsys, doi_data, doi_provenance, tmp_path

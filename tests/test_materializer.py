@@ -2,7 +2,8 @@
 
 from __future__ import annotations
 
-from datetime import datetime
+import json
+from datetime import datetime, timedelta
 
 import pytest
 
@@ -11,7 +12,9 @@ from chrono_rdf import (
     NoHistory,
     TimeInterval,
     UNBOUNDED,
+    classify,
     current_graph,
+    format_timestamp,
     iri,
     literal,
     load_history,
@@ -19,10 +22,14 @@ from chrono_rdf import (
     materialize_all,
     materialize_at,
     materialize_span,
+    parse_select,
     parse_timestamp,
     quad,
     scope_delta,
+    serialize,
 )
+from chrono_rdf.cli import main
+from chrono_rdf.version_query import explicate
 
 from conftest import (
     BR,
@@ -196,3 +203,131 @@ class TestAgainstLedger:
             between = between.replace(microsecond=0)
             m = materialize_at(name, between, ctx.entity_quads(name), ctx.history(name))
             assert m.version.graphs == truth.versions[0]
+
+
+def _between(a: datetime, b: datetime) -> datetime:
+    return (a + (b - a) / 2).replace(microsecond=0)
+
+
+def _interval_case(times: list[datetime], start_kind: str, end_kind: str) -> TimeInterval:
+    """An interval over an entity's snapshot times, named by where it opens.
+
+    A closed end falls between the last two snapshots, or one day after
+    the start when the start already lies past them.
+    """
+    day = timedelta(days=1)
+    start = {
+        "open": None,
+        "at-snapshot": times[1],
+        "between": _between(times[0], times[1]),
+        "before-creation": times[0] - day,
+        "after-last": times[-1] + day,
+    }[start_kind]
+    if end_kind == "open":
+        return TimeInterval(start, None)
+    if end_kind == "before-creation":
+        return TimeInterval(start, times[0] - day)
+    end = _between(times[-2], times[-1])
+    if start is not None and start > end:
+        end = start + day
+    return TimeInterval(start, end)
+
+
+def _ledger_versions(truth, interval: TimeInterval, boundary: bool) -> list[tuple]:
+    """(time, graphs) the ledger holds in the interval, oldest first; with
+    `boundary`, also the version live when the interval opens."""
+    keep = [k for k, t in enumerate(truth.times) if t in interval]
+    if boundary and interval.start is not None:
+        live = [k for k, t in enumerate(truth.times) if t <= interval.start]
+        if live and live[-1] not in keep:
+            keep.insert(0, live[-1])
+    return [(truth.times[k], truth.versions[k]) for k in keep]
+
+
+BOUNDARY_CASES = [
+    (start, end)
+    for start in ("at-snapshot", "between", "before-creation", "after-last", "open")
+    for end in ("closed", "open")
+] + [("open", "before-creation")]
+
+
+@pytest.fixture(scope="module", params=["small_world", "big_world"])
+def boundary_world(request):
+    """A world and two of its entities with at least three snapshots: one
+    that lives on, one that is deleted along the way."""
+    world = request.getfixturevalue(request.param)
+    long_lived = sorted(
+        (e, t) for e, t in world.ledger.entities.items() if len(t.times) >= 3
+    )
+    alive = next(e for e, t in long_lived if t.snapshots[-1].kind != "deleted")
+    deleted = next(e for e, t in long_lived if any(s.kind == "deleted" for s in t.snapshots))
+    return world, world.context(), (alive, deleted)
+
+
+@pytest.mark.parametrize("start_kind,end_kind", BOUNDARY_CASES)
+class TestSelectionBoundaries:
+    """Every reader of the interval selection agrees with the ledger."""
+
+    def test_materialize_all_and_span(self, boundary_world, start_kind, end_kind):
+        world, ctx, entities = boundary_world
+        for entity in entities:
+            truth = world.ledger.entities[entity]
+            interval = _interval_case(truth.times, start_kind, end_kind)
+            data, history = ctx.entity_quads(entity), ctx.history(entity)
+            for build, boundary in ((materialize_all, False), (materialize_span, True)):
+                got = [(v.time, v.graphs) for v in build(entity, data, history, interval)]
+                assert got == _ledger_versions(truth, interval, boundary), build.__name__
+
+    def test_explicate_cross_version(self, boundary_world, start_kind, end_kind):
+        world, ctx, entities = boundary_world
+        for entity in entities:
+            truth = world.ledger.entities[entity]
+            interval = _interval_case(truth.times, start_kind, end_kind)
+            plan = classify(parse_select(f"SELECT ?p ?o WHERE {{ <{entity}> ?p ?o }}"))
+            explication = explicate(plan, ctx, interval=interval)
+            got = [(v.time, v.graphs) for v in explication.versions[entity]]
+            assert got == _ledger_versions(truth, interval, boundary=True)
+
+    def test_explicate_single_version_at_the_start(
+        self, boundary_world, start_kind, end_kind
+    ):
+        world, ctx, entities = boundary_world
+        for entity in entities:
+            truth = world.ledger.entities[entity]
+            at = _interval_case(truth.times, start_kind, end_kind).start
+            if at is None:
+                continue  # a single version needs an instant
+            plan = classify(parse_select(f"SELECT ?p ?o WHERE {{ <{entity}> ?p ?o }}"))
+            explication = explicate(plan, ctx, mode="single", at=at)
+            got = [(v.time, v.graphs) for v in explication.versions[entity]]
+            live = [(t, g) for t, g in zip(truth.times, truth.versions) if t <= at]
+            assert got == live[-1:]
+
+    def test_cli_materialize_all(
+        self, boundary_world, start_kind, end_kind, tmp_path, capsys
+    ):
+        world, ctx, entities = boundary_world
+        for entity in entities:
+            truth = world.ledger.entities[entity]
+            interval = _interval_case(truth.times, start_kind, end_kind)
+            # only the entity's own quads and snapshots, so each call parses little
+            provenance = ctx.provenance_sources[0].provenance_quads_for(entity)
+            (tmp_path / "data.nq").write_text(
+                serialize(ctx.entity_quads(entity)), encoding="utf-8"
+            )
+            (tmp_path / "prov.nq").write_text(serialize(provenance), encoding="utf-8")
+            config = tmp_path / "sources.json"
+            config.write_text(json.dumps({
+                "data": [str(tmp_path / "data.nq")],
+                "provenance": [str(tmp_path / "prov.nq")],
+            }), encoding="utf-8")
+            argv = ["--config", str(config), "materialize", entity, "--all"]
+            if interval.start is not None:
+                argv += ["--from", format_timestamp(interval.start)]
+            if interval.end is not None:
+                argv += ["--to", format_timestamp(interval.end)]
+            assert main(argv) == 0
+            doc = json.loads(capsys.readouterr().out)
+            got = [(v["time"], v["graph"]) for v in doc["versions"]]
+            expected = _ledger_versions(truth, interval, boundary=True)
+            assert got == [(format_timestamp(t), serialize(g)) for t, g in expected]

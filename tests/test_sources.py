@@ -28,7 +28,6 @@ from chrono_rdf import (
     DeltaRecord,
     NetworkError,
     SourceConfig,
-    VersionCache,
     execute_version_query,
     iri,
     literal,
@@ -49,13 +48,12 @@ class TestSourceConfig:
         config = SourceConfig.from_mapping(self.GOOD)
         assert config.data == ("data.nq",)
         assert config.provenance == ("prov.nq",)
-        assert config.cache_dir is None
         assert config.explosion_limit == 10_000
         assert config.http_timeout == 30.0
 
     def test_mapping_round_trip(self):
         config = SourceConfig.from_mapping(
-            dict(self.GOOD, cache_dir="/tmp/c", explosion_limit=5, http_timeout=1.5)
+            dict(self.GOOD, explosion_limit=5, http_timeout=1.5)
         )
         assert SourceConfig.from_mapping(config.to_mapping()) == config
 
@@ -82,6 +80,11 @@ class TestSourceConfig:
     def test_bad_mappings(self, raw):
         with pytest.raises(ConfigError):
             SourceConfig.from_mapping(raw)
+
+    @pytest.mark.parametrize("value", ["cache", 3])
+    def test_cache_dir_is_an_unknown_key(self, value):
+        with pytest.raises(ConfigError, match="unknown configuration keys: cache_dir"):
+            SourceConfig.from_mapping(dict(self.GOOD, cache_dir=value))
 
     def test_from_file(self, tmp_path):
         path = tmp_path / "sources.json"
@@ -227,30 +230,15 @@ class TestContext:
 
 
 class TestLoadSources:
-    def test_files_and_cache(self, doi_files, tmp_path):
+    def test_files(self, doi_files):
         data_path, prov_path = doi_files
         config = SourceConfig.from_mapping({
             "data": [str(data_path)],
             "provenance": [str(prov_path)],
-            "cache_dir": str(tmp_path / "cache"),
         })
         ctx = load_sources(config)
         assert isinstance(ctx, Context)
-        assert isinstance(ctx.cache, VersionCache)
         assert ctx.history(ID) is not None
-
-    def test_unusable_cache_dir_degrades(self, doi_files, tmp_path):
-        data_path, prov_path = doi_files
-        blocker = tmp_path / "not-a-directory"
-        blocker.write_text("file in the way", encoding="utf-8")
-        config = SourceConfig.from_mapping({
-            "data": [str(data_path)],
-            "provenance": [str(prov_path)],
-            "cache_dir": str(blocker),
-        })
-        ctx = load_sources(config)
-        assert ctx.cache is None
-        assert any("cache disabled" in w for w in ctx.warnings)
 
 
 @pytest.fixture()
