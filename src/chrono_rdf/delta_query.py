@@ -24,7 +24,7 @@ from typing import Iterable
 
 # perfbench/spans.py hooks the chain walker under the name cached_chain
 from .materializer import _chain as cached_chain
-from .materializer import TimeInterval, UNBOUNDED, scope_delta
+from .materializer import TimeInterval, UNBOUNDED
 from .provenance import Delta, DeltaPair, EntityHistory, Snapshot
 from .rdf_model import GraphSet
 from .sources import Context
@@ -90,7 +90,7 @@ def get_delta(
     if snap.update is None:
         k = history.snapshots.index(snap)
         return DeltaPair(added=cached_chain(entity, data, history, k)[k], removed=frozenset())
-    return net_pair(scope_delta(snap.update, entity))
+    return net_pair(snap.update)
 
 
 @dataclass(frozen=True)
@@ -122,12 +122,11 @@ def execute_delta_query(
                 continue  # a creation is not a change
             if snap.generated_at not in interval:
                 continue
-            scoped = scope_delta(snap.update, entity)
-            if scoped.is_empty():
+            if snap.update.is_empty():
                 continue  # the update touched other entities only
-            if wanted and not touches(scoped, wanted):
+            if wanted and not touches(snap.update, wanted):
                 continue
-            changes.append((k, snap, net_pair(scoped)))
+            changes.append((k, snap, net_pair(snap.update)))
         # nothing inserted: the version may have been emptied out; one walk
         # down to the oldest such snapshot rebuilds every one of them
         emptied = [k for k, _snap, pair in changes if not pair.added and pair.removed]

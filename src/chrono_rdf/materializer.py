@@ -9,11 +9,6 @@ rebuilding each version from the present.  _chain is that walk, and
 every caller that rebuilds versions goes through it; select decides
 which versions a request reads and how far down the chain it must go.
 
-Updates may mention several entities, so before application each delta
-is narrowed to the quads whose subject is the entity under
-reconstruction.  Quads with blank subjects stay in scope because split
-descriptions hang off the entity they describe.
-
 delta_applications is a module level counter bumped on every delta
 application; tests use it to pin down the chaining behaviour.
 """
@@ -108,19 +103,6 @@ def current_graph(entity: str, data: Iterable[Quad]) -> GraphSet:
     return frozenset(q for q in data if q.subject.is_iri and q.subject.value == entity)
 
 
-def scope_delta(delta: Delta, entity: str) -> Delta:
-    """Narrow a delta to the quads concerning one entity."""
-
-    def mine(q: Quad) -> bool:
-        return q.subject.is_blank or (q.subject.is_iri and q.subject.value == entity)
-
-    return Delta(
-        tuple(q for q in delta.deletes if mine(q)),
-        tuple(q for q in delta.inserts if mine(q)),
-        delta.source_text,
-    )
-
-
 def _apply(delta: Delta, graphs: GraphSet) -> GraphSet:
     delta_applications.bump()
     return apply_delta(delta, graphs)
@@ -143,7 +125,7 @@ def _chain(
     g = current_graph(entity, data)
     for k in range(len(snaps) - 1, floor - 1, -1):
         if k != len(snaps) - 1:
-            g = _apply(invert(scope_delta(snaps[k + 1].update, entity)), g)
+            g = _apply(invert(snaps[k + 1].update), g)
         out[k] = g
     return out
 
@@ -183,7 +165,8 @@ def select(
     entity's creation.  Otherwise every version whose time falls in the
     interval, plus, with `boundary`, the one live when the interval opens.
     The chain walk has to reach down to `floor`; it is the number of
-    snapshots when nothing needs walking.  `chosen` is oldest first.
+    snapshots when nothing is chosen, so that nothing is walked.
+    `chosen` is oldest first.
     """
     snaps = history.snapshots
     if at is not None:
@@ -201,7 +184,7 @@ def select(
     chosen = tuple(
         k for k in range(floor, len(snaps)) if k == live or snaps[k].generated_at in interval
     )
-    return floor, chosen
+    return (floor, chosen) if chosen else (len(snaps), ())
 
 
 def chosen_versions(

@@ -4,9 +4,10 @@ A dataset's history arrives as provenance quads: each snapshot is a
 prov:Entity tied to its entity via prov:specializationOf, stamped with
 prov:generatedAtTime, and, from the second snapshot on, carrying the
 SPARQL update string that produced it from its predecessor.  This module
-turns those quads into an ordered EntityHistory and gives deltas their
-algebra: invert swaps the two sides, compose folds a sequence into one
-net delta, apply_delta runs one against a graph set.
+turns those quads into an ordered EntityHistory, each update narrowed to
+the entity it belongs to, and gives deltas their algebra: invert swaps
+the two sides, compose folds a sequence into one net delta, apply_delta
+runs one against a graph set.
 
 Timestamps are naive UTC at second precision.  Zoned timestamps are
 converted, fractional seconds are truncated.
@@ -158,6 +159,8 @@ class Snapshot:
     primary_source: str | None = None
     derived_from: str | None = None
     description: str | None = None
+    # the stored update narrowed to this snapshot's entity (see scope_delta);
+    # its source_text is still the whole stored string
     update: Delta | None = None
 
 
@@ -206,6 +209,24 @@ def _one(values: set[str], snapshot: str, what: str) -> str:
     return next(iter(values))
 
 
+def scope_delta(delta: Delta, entity: str) -> Delta:
+    """Narrow a delta to the quads whose subject is the entity.
+
+    Quads with blank subjects stay in scope because split descriptions
+    hang off the entity they describe.  When nothing falls outside, the
+    delta itself comes back.
+    """
+
+    def mine(q: Quad) -> bool:
+        return q.subject.is_blank or (q.subject.is_iri and q.subject.value == entity)
+
+    deletes = tuple(q for q in delta.deletes if mine(q))
+    inserts = tuple(q for q in delta.inserts if mine(q))
+    if len(deletes) == len(delta.deletes) and len(inserts) == len(delta.inserts):
+        return delta
+    return Delta(deletes, inserts, delta.source_text)
+
+
 def parse_delta(snapshot_id: str, text: str) -> Delta:
     """Parse the update string stored on one snapshot.
 
@@ -229,7 +250,10 @@ def load_history(
 
     Provenance quads may sit in any graph.  `parse` turns a snapshot id
     and its update string into a Delta; a caller that already parsed the
-    string can hand back that result.  Raises NoHistory when no snapshot
+    string can hand back that result.  An update may mention several
+    entities, so each one is narrowed here, once, to the quads of this
+    entity (scope_delta); reconstruction and change reports read
+    Snapshot.update without narrowing it again.  Raises NoHistory when no snapshot
     specialises the entity, BrokenChain when the metadata does not
     determine a single valid order, and BadDelta when an update string
     does not parse as a ground update.
@@ -282,7 +306,7 @@ def load_history(
         update = None
         update_values = values(OCO_HAS_UPDATE_QUERY)
         if update_values:
-            update = parse(sid, _one(update_values, sid, "update query"))
+            update = scope_delta(parse(sid, _one(update_values, sid, "update query")), entity)
 
         source_values = values(HAD_PRIMARY_SOURCE) | values(HAS_PRIMARY_SOURCE)
         derived_values = values(WAS_DERIVED_FROM)

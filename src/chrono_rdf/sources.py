@@ -450,7 +450,11 @@ class Context:
         return history
 
     def _delta(self, snapshot: str, text: str) -> Delta:
-        """The parsed update of one snapshot, parsed once per context."""
+        """The parsed update of one snapshot, parsed once per context.
+
+        The term index reads it whole; load_history narrows it to the
+        snapshot's entity and keeps this object when nothing is dropped.
+        """
         delta = self._deltas.get(snapshot)
         if delta is None or delta.source_text != text:
             delta = parse_delta(snapshot, text)

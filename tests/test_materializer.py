@@ -287,6 +287,8 @@ class TestSelectionBoundaries:
             explication = explicate(plan, ctx, interval=interval)
             got = [(v.time, v.graphs) for v in explication.versions[entity]]
             assert got == _ledger_versions(truth, interval, boundary=True)
+            if (start_kind, end_kind) == ("open", "before-creation"):
+                assert explication.snapshots_involved == 0
 
     def test_explicate_single_version_at_the_start(
         self, boundary_world, start_kind, end_kind

@@ -212,6 +212,8 @@ class TestContext:
         assert history.snapshots[1].update.inserts == (
             quad(iri(ID), iri(HAS_VALUE), literal(RIGHT_DOI), ID_GRAPH),
         )
+        # the update mentions its entity only, so the history keeps that parse
+        assert history.snapshots[1].update is ctx._deltas[history.snapshots[1].id]
 
     def test_an_update_that_does_not_parse(self, doi_data, doi_provenance):
         broken = literal("DELETE DATA { <" + ID + "> ?p ?o . }")

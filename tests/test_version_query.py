@@ -423,6 +423,7 @@ class TestDoiWorldQueries:
             interval=TimeInterval(None, parse_timestamp("2021-10-01T00:00:00")),
         )
         assert outcome.results == {}
+        assert outcome.snapshots_involved == 0
 
     def test_isolated_scheme_lookup_finds_the_identifier(self, ctx):
         outcome = execute_version_query(
