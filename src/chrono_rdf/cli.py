@@ -19,10 +19,11 @@ from datetime import datetime, timezone
 from pathlib import Path
 
 from .delta_query import execute_delta_query
-from .errors import BeforeCreation, ChronoRdfError, ConfigError, NetworkError, NoHistory
-# perfbench/spans.py hooks the chain walker under the name cached_chain
+from .errors import ChronoRdfError, ConfigError, NetworkError, NoHistory
+# perfbench/spans.py hooks the chain walker under the name cached_chain;
+# materialize_at and materialize_span walk through materializer._chain
 from .materializer import _chain as cached_chain
-from .materializer import TimeInterval, UNBOUNDED, materialize_span
+from .materializer import TimeInterval, UNBOUNDED, materialize_at, materialize_span
 from .provenance import Snapshot, format_timestamp, parse_timestamp
 from .rdf_model import Term, serialize
 from .sources import Context, SourceConfig, load_sources
@@ -115,31 +116,22 @@ def _cmd_materialize(args: argparse.Namespace) -> int:
     ctx = _load_context(args)
     entity = args.entity
     history = ctx.history(entity)
+    if history is None:
+        raise NoHistory(entity)
     if args.at is not None:
-        if history is None:
-            raise NoHistory(entity)
-        floor = history.index_at(args.at)
-        if floor is None:
-            raise BeforeCreation(
-                entity,
-                format_timestamp(args.at),
-                format_timestamp(history.creation.generated_at),
-            )
-        graph = cached_chain(entity, ctx.entity_quads(entity), history, floor)[floor]
+        version = materialize_at(entity, args.at, ctx.entity_quads(entity), history).version
         if args.format == "nquads":
-            sys.stdout.write(serialize(graph))
+            sys.stdout.write(serialize(version.graphs))
             return 0
         _emit(
             {
                 "entity": entity,
                 "at": format_timestamp(args.at),
-                "snapshot": _snapshot_json(history.snapshots[floor]),
-                "graph": serialize(graph),
+                "snapshot": _snapshot_json(version.snapshot),
+                "graph": serialize(version.graphs),
             }
         )
         return 0
-    if history is None:
-        raise NoHistory(entity)
     versions = materialize_span(entity, ctx.entity_quads(entity), history, _interval(args))
     _emit(
         {

@@ -24,7 +24,7 @@ from typing import Iterable
 
 # perfbench/spans.py hooks the chain walker under the name cached_chain
 from .materializer import _chain as cached_chain
-from .materializer import TimeInterval, UNBOUNDED
+from .materializer import TimeInterval, UNBOUNDED, select
 from .provenance import Delta, DeltaPair, EntityHistory, Snapshot
 from .rdf_model import GraphSet
 from .sources import Context
@@ -117,11 +117,10 @@ def execute_delta_query(
         if history is None:
             continue
         changes: list[tuple[int, Snapshot, DeltaPair]] = []
-        for k, snap in enumerate(history.snapshots):
+        for k in select(history, interval):
+            snap = history.snapshots[k]
             if snap.update is None:
                 continue  # a creation is not a change
-            if snap.generated_at not in interval:
-                continue
             if snap.update.is_empty():
                 continue  # the update touched other entities only
             if wanted and not touches(snap.update, wanted):
@@ -153,14 +152,3 @@ def execute_delta_query(
         relevant_entities=explication.relevant,
         entities_involved=len(explication.relevant),
     )
-
-
-def run(
-    query: str | ParsedQuery,
-    ctx: Context,
-    properties: Iterable[str] = (),
-    interval: TimeInterval = UNBOUNDED,
-) -> ChangeReport:
-    """One ChangeRecord per relevant (entity, snapshot) change; see
-    execute_delta_query for the variant that also reports statistics."""
-    return execute_delta_query(query, ctx, properties=properties, interval=interval).report

@@ -5,9 +5,10 @@ entity had at snapshot k, the update strings of snapshots k+1..n-1 are
 inverted and applied newest first, starting from the entity's current
 graph.  Recovering every version this way walks the chain once, so a
 full reconstruction costs exactly n-1 delta applications instead of
-rebuilding each version from the present.  _chain is that walk, and
-every caller that rebuilds versions goes through it; select decides
-which versions a request reads and how far down the chain it must go.
+rebuilding each version from the present.  select decides which
+snapshots a request reads; rebuild turns them into versions with one
+walk (_chain) down to the oldest of them, and every caller that
+rebuilds versions goes through the two.
 
 delta_applications is a module level counter bumped on every delta
 application; tests use it to pin down the chaining behaviour.
@@ -17,7 +18,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from datetime import datetime
-from typing import Iterable, Mapping
+from typing import Iterable, Sequence
 
 from .errors import BeforeCreation, NoHistory
 from .provenance import (
@@ -130,71 +131,40 @@ def _chain(
     return out
 
 
-def materialize_at(
-    entity: str, when: datetime, data: Iterable[Quad], provenance
-) -> Materialization:
-    """The state the entity had at `when`, plus the snapshots not chosen.
-
-    `provenance` is either a quad set holding the entity's snapshots or
-    an already loaded EntityHistory.  Raises BeforeCreation when `when`
-    predates the first snapshot and NoHistory when nothing describes the
-    entity.
-    """
-    history = _as_history(entity, provenance)
-    k = history.index_at(when)
-    if k is None:
-        raise BeforeCreation(
-            entity,
-            format_timestamp(when),
-            format_timestamp(history.creation.generated_at),
-        )
-    (version,) = chosen_versions(entity, history, _chain(entity, data, history, k), (k,))
-    others = tuple(s for j, s in enumerate(history.snapshots) if j != k)
-    return Materialization(version=version, other_snapshots=others)
-
-
 def select(
     history: EntityHistory,
     interval: TimeInterval = UNBOUNDED,
     boundary: bool = False,
     at: datetime | None = None,
-) -> tuple[int, tuple[int, ...]]:
-    """Which snapshot indices a request reads: (floor, chosen).
+) -> tuple[int, ...]:
+    """Which snapshot indices a request reads, oldest first.
 
     With `at`, the one version live at that instant, none before the
     entity's creation.  Otherwise every version whose time falls in the
     interval, plus, with `boundary`, the one live when the interval opens.
-    The chain walk has to reach down to `floor`; it is the number of
-    snapshots when nothing is chosen, so that nothing is walked.
-    `chosen` is oldest first.
     """
-    snaps = history.snapshots
     if at is not None:
         k = history.index_at(at)
-        return (len(snaps), ()) if k is None else (k, (k,))
-    start = interval.start
-    floor = 0
+        return () if k is None else (k,)
     live = None
-    if start is not None:
-        floor = next((k for k, s in enumerate(snaps) if s.generated_at >= start), len(snaps))
-        if boundary:
-            live = history.index_at(start)
-            if live is not None:
-                floor = min(floor, live)
-    chosen = tuple(
-        k for k in range(floor, len(snaps)) if k == live or snaps[k].generated_at in interval
+    if boundary and interval.start is not None:
+        live = history.index_at(interval.start)
+    return tuple(
+        k for k, s in enumerate(history.snapshots) if k == live or s.generated_at in interval
     )
-    return (floor, chosen) if chosen else (len(snaps), ())
 
 
-def chosen_versions(
-    entity: str,
-    history: EntityHistory,
-    graphs: Mapping[int, GraphSet],
-    chosen: Iterable[int],
+def rebuild(
+    entity: str, data: Iterable[Quad], history: EntityHistory, chosen: Sequence[int]
 ) -> list[VersionedGraph]:
-    """The chosen versions, read from the graphs a chain walk returned."""
+    """The chosen versions, oldest first, from one walk down to chosen[0].
+
+    `chosen` is what select returned; when it is empty nothing is walked.
+    """
+    if not chosen:
+        return []
     snaps = history.snapshots
+    graphs = _chain(entity, data, history, chosen[0])
     return [
         VersionedGraph(
             entity=entity,
@@ -206,14 +176,27 @@ def chosen_versions(
     ]
 
 
-def _walk_selected(
-    entity: str, data: Iterable[Quad], provenance, interval: TimeInterval, boundary: bool
-) -> list[VersionedGraph]:
+def materialize_at(
+    entity: str, when: datetime, data: Iterable[Quad], provenance
+) -> Materialization:
+    """The state the entity had at `when`, plus the snapshots not chosen.
+
+    `provenance` is either a quad set holding the entity's snapshots or
+    an already loaded EntityHistory.  Raises BeforeCreation when `when`
+    predates the first snapshot and NoHistory when nothing describes the
+    entity.
+    """
     history = _as_history(entity, provenance)
-    floor, chosen = select(history, interval, boundary)
-    if floor >= len(history.snapshots):
-        return []
-    return chosen_versions(entity, history, _chain(entity, data, history, floor), chosen)
+    chosen = select(history, at=when)
+    if not chosen:
+        raise BeforeCreation(
+            entity,
+            format_timestamp(when),
+            format_timestamp(history.creation.generated_at),
+        )
+    (version,) = rebuild(entity, data, history, chosen)
+    others = tuple(s for j, s in enumerate(history.snapshots) if j != chosen[0])
+    return Materialization(version=version, other_snapshots=others)
 
 
 def materialize_all(
@@ -227,7 +210,8 @@ def materialize_all(
     Versions come back oldest first.  An interval that contains no
     snapshot of the entity yields an empty list.
     """
-    return _walk_selected(entity, data, provenance, interval, boundary=False)
+    history = _as_history(entity, provenance)
+    return rebuild(entity, data, history, select(history, interval))
 
 
 def materialize_span(
@@ -238,4 +222,5 @@ def materialize_span(
 ) -> list[VersionedGraph]:
     """Like materialize_all, but also includes the version that was live
     when the interval opens, so callers can carry unchanged state forward."""
-    return _walk_selected(entity, data, provenance, interval, boundary=True)
+    history = _as_history(entity, provenance)
+    return rebuild(entity, data, history, select(history, interval, boundary=True))

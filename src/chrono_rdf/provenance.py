@@ -212,13 +212,13 @@ def _one(values: set[str], snapshot: str, what: str) -> str:
 def scope_delta(delta: Delta, entity: str) -> Delta:
     """Narrow a delta to the quads whose subject is the entity.
 
-    Quads with blank subjects stay in scope because split descriptions
-    hang off the entity they describe.  When nothing falls outside, the
-    delta itself comes back.
+    This is the rule current_graph reads the live data by, so every
+    rebuilt version holds only quads whose subject is the entity.  When
+    nothing falls outside, the delta itself comes back.
     """
 
     def mine(q: Quad) -> bool:
-        return q.subject.is_blank or (q.subject.is_iri and q.subject.value == entity)
+        return q.subject.is_iri and q.subject.value == entity
 
     deletes = tuple(q for q in delta.deletes if mine(q))
     inserts = tuple(q for q in delta.inserts if mine(q))

@@ -31,6 +31,7 @@ from .provenance import (
     EntityHistory,
     load_history,
     parse_delta,
+    scope_delta,
 )
 from .rdf_model import GraphSet, Quad, Term, Triple, parse_document
 from .sparql_engine import (
@@ -452,8 +453,8 @@ class Context:
     def _delta(self, snapshot: str, text: str) -> Delta:
         """The parsed update of one snapshot, parsed once per context.
 
-        The term index reads it whole; load_history narrows it to the
-        snapshot's entity and keeps this object when nothing is dropped.
+        The term index and load_history both narrow it to the snapshot's
+        entity (scope_delta), which keeps this object when nothing is dropped.
         """
         delta = self._deltas.get(snapshot)
         if delta is None or delta.source_text != text:
@@ -474,8 +475,10 @@ class Context:
     def term_postings(self) -> dict[Term, frozenset[tuple[str, str]]]:
         """Each IRI or literal to the (entity, snapshot) pairs whose update holds it.
 
-        Terms are read from the parsed update, so every spelling the
-        update grammar accepts for a term lands under that one term.
+        Terms are read from the parsed update narrowed to the record's
+        entity (scope_delta), as its history reads it, so an update only
+        makes its own entity relevant; every spelling the update grammar
+        accepts for a term lands under that one term.
         Updates that do not parse are left out; loading the history of
         their entity raises BadDelta.
         """
@@ -488,7 +491,7 @@ class Context:
         postings: dict[Term, set[tuple[str, str]]] = {}
         for record in records:
             try:
-                delta = self._delta(record.snapshot, record.text)
+                delta = scope_delta(self._delta(record.snapshot, record.text), record.entity)
             except BadDelta:
                 continue
             pair = (record.entity, record.snapshot)

@@ -42,15 +42,10 @@ from datetime import datetime
 from typing import Iterable, Iterator, Mapping, Sequence
 
 from .errors import ExplosionLimit, UnboundedQuery
-# perfbench/spans.py hooks the chain walker under the name cached_chain
+# perfbench/spans.py hooks the chain walker under the name cached_chain;
+# discovery walks through rebuild, which calls materializer._chain
 from .materializer import _chain as cached_chain
-from .materializer import (
-    TimeInterval,
-    UNBOUNDED,
-    VersionedGraph,
-    chosen_versions,
-    select,
-)
+from .materializer import TimeInterval, UNBOUNDED, VersionedGraph, rebuild, select
 from .provenance import format_timestamp
 from .rdf_model import GraphSet, Quad, Term
 from .sources import Context
@@ -104,35 +99,20 @@ def classify(query: ParsedQuery) -> QueryPlan:
                 if a != b:
                     adjacency[a].add(b)
 
-    reachable: dict[tuple[str, str], bool] = {}
-
-    def reaches_subject_iri(start: tuple[str, str]) -> bool:
-        if start in reachable:
-            return reachable[start]
-        seen = {start}
-        frontier = [start]
-        found = False
-        while frontier:
-            node = frontier.pop()
-            if node in subject_iri_nodes:
-                found = True
-                break
-            for nxt in adjacency.get(node, ()):
-                if nxt not in seen:
-                    seen.add(nxt)
-                    frontier.append(nxt)
-        reachable[start] = found
-        return found
+    # the graph is undirected, so a pattern is joined exactly when one
+    # search from every subject IRI at once reaches its subject
+    reached = set(subject_iri_nodes)
+    frontier = list(reached)
+    while frontier:
+        for nxt in adjacency[frontier.pop()]:
+            if nxt not in reached:
+                reached.add(nxt)
+                frontier.append(nxt)
 
     joined: list[TriplePattern] = []
     isolated: list[TriplePattern] = []
     for p in query.patterns:
-        if isinstance(p.subject, Term) and p.subject.is_iri:
-            joined.append(p)
-        elif reaches_subject_iri(_node(p.subject)):
-            joined.append(p)
-        else:
-            isolated.append(p)
+        (joined if _node(p.subject) in reached else isolated).append(p)
 
     if isolated and not any(tuple(p.ground_terms()) for p in isolated):
         raise UnboundedQuery(
@@ -234,14 +214,14 @@ def explicate(
                 VersionedGraph(entity, None, ctx.entity_quads(entity), reconstructed=False)
             ]
         else:
-            floor, chosen = select(
+            chosen = select(
                 history, interval, boundary=True, at=at if mode == "single" else None
             )
-            graphs: dict[int, GraphSet] = {}
-            if floor < len(history.snapshots):
-                graphs = cached_chain(entity, ctx.entity_quads(entity), history, floor)
-            entity_versions = chosen_versions(entity, history, graphs, chosen)
-            snapshots_involved += len(graphs)
+            entity_versions = []
+            if chosen:
+                entity_versions = rebuild(entity, ctx.entity_quads(entity), history, chosen)
+                # the walk rebuilt every version from chosen[0] up
+                snapshots_involved += len(history.snapshots) - chosen[0]
         versions[entity] = tuple(entity_versions)
         # versions with equal narrowed states bind the same IRIs
         chased: set[GraphSet] = set()
@@ -406,13 +386,3 @@ def execute_version_query(
         timeline=timeline,
         plan=plan,
     )
-
-
-def run(
-    query: str | ParsedQuery,
-    ctx: Context,
-    interval: TimeInterval = UNBOUNDED,
-    at: datetime | None = None,
-) -> dict[str, SolutionSet]:
-    """Results keyed by RFC 3339 snapshot time; see execute_version_query."""
-    return execute_version_query(query, ctx, interval=interval, at=at).results

@@ -157,6 +157,28 @@ def oracle_classify(
     return joined, isolated
 
 
+def oracle_select(history, interval=UNBOUNDED, boundary=False, at=None) -> tuple[int, ...]:
+    """Snapshot indices a request reads, by the rule stated plainly: with
+    `at`, the last snapshot generated at or before it; otherwise every
+    snapshot inside the interval, plus, with `boundary` and a start, the
+    last one generated at or before the start."""
+    times = [s.generated_at for s in history.snapshots]
+    if at is not None:
+        live = [k for k, t in enumerate(times) if t <= at]
+        return (live[-1],) if live else ()
+    start, end = interval.start, interval.end
+    chosen = {
+        k
+        for k, t in enumerate(times)
+        if (start is None or start <= t) and (end is None or t <= end)
+    }
+    if boundary and start is not None:
+        live = [k for k, t in enumerate(times) if t <= start]
+        if live:
+            chosen.add(live[-1])
+    return tuple(sorted(chosen))
+
+
 def version_diffs(times, versions) -> list[tuple]:
     """(time, added, removed) between consecutive stored versions."""
     diffs = []
@@ -183,34 +205,40 @@ def dataset_brute(entities: Mapping, when, restrict: Iterable[str] | None = None
     return frozenset(merged)
 
 
-def _update_terms(text: str) -> set[Term]:
+def _update_terms(text: str, entity: str) -> set[Term]:
     """Subjects, predicates and objects of the quads an update string
-    parses to; none when it does not parse.  Graph names are not terms of
-    a quad."""
+    parses to whose subject is the entity's IRI; none when it does not
+    parse.  Graph names are not terms of a quad."""
     try:
         delta = parse_update(text)
     except Exception:
         return set()
-    return {t for q in delta.deletes + delta.inserts for t in (q.subject, q.predicate, q.object)}
+    return {
+        t
+        for q in delta.deletes + delta.inserts
+        if q.subject.is_iri and q.subject.value == entity
+        for t in (q.subject, q.predicate, q.object)
+    }
 
 
 def parsed_term_search(terms: Iterable[Term], records) -> frozenset[tuple[str, str]]:
-    """(entity, snapshot) of every record whose parsed update holds all
-    terms, parsing each record anew."""
+    """(entity, snapshot) of every record whose parsed update, narrowed
+    to the record's entity, holds all terms, parsing each record anew."""
     wanted = set(terms)
     if not wanted:
         return frozenset()
     return frozenset(
-        (r.entity, r.snapshot) for r in records if wanted <= _update_terms(r.text)
+        (r.entity, r.snapshot) for r in records if wanted <= _update_terms(r.text, r.entity)
     )
 
 
 def parsed_term_postings(records) -> dict[Term, frozenset[tuple[str, str]]]:
     """Each IRI or literal to the (entity, snapshot) of every record whose
-    parsed update holds it, parsing each record anew."""
+    parsed update, narrowed to the record's entity, holds it, parsing
+    each record anew."""
     out: dict[Term, set] = {}
     for r in records:
-        for term in _update_terms(r.text):
+        for term in _update_terms(r.text, r.entity):
             if not term.is_blank:
                 out.setdefault(term, set()).add((r.entity, r.snapshot))
     return {term: frozenset(pairs) for term, pairs in out.items()}

@@ -60,6 +60,12 @@ def test_every_hook_finds_its_target(traced):
     assert absent == set()
 
 
+def test_hooked_walker_aliases_are_the_walker_itself():
+    # the aliases exist for the hooks; a wrapper or copy would trace nothing
+    for module in (version_query, delta_query, cli):
+        assert module.cached_chain is materializer._chain
+
+
 def test_declared_per_layer_metrics_are_all_reported(traced):
     _recorder, hooks = traced
     counts, absent = Counter(), set(hooks.absent)

@@ -6,10 +6,14 @@ import json
 from datetime import datetime, timedelta
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from chrono_rdf import (
     BeforeCreation,
+    EntityHistory,
     NoHistory,
+    Snapshot,
     TimeInterval,
     UNBOUNDED,
     classify,
@@ -29,8 +33,10 @@ from chrono_rdf import (
     serialize,
 )
 from chrono_rdf.cli import main
+from chrono_rdf.materializer import select
 from chrono_rdf.version_query import explicate
 
+from oracles import oracle_select
 from conftest import (
     BR,
     DOI_DATA,
@@ -85,7 +91,7 @@ class TestScoping:
         assert graphs
         assert all(q.subject.value == ID for q in graphs)
 
-    def test_scope_delta_keeps_own_and_blank_subjects(self):
+    def test_scope_delta_keeps_own_subject_only(self):
         mine = quad(iri(ID), iri("http://p.example/"), literal("a"), None)
         other = quad(iri(BR), iri("http://p.example/"), literal("b"), None)
         from chrono_rdf import blank
@@ -93,7 +99,52 @@ class TestScoping:
         delta = make_delta(deletes=[other], inserts=[mine, anon])
         scoped = scope_delta(delta, ID)
         assert set(scoped.deletes) == set()
-        assert set(scoped.inserts) == {mine, anon}
+        # the rule current_graph reads the live data by: blank subjects too are out
+        assert set(scoped.inserts) == {mine}
+
+
+_HALF_DAY = timedelta(hours=12)
+_EPOCH = datetime(2021, 1, 1)
+
+
+def _moment(steps: int | None) -> datetime | None:
+    return None if steps is None else _EPOCH + steps * _HALF_DAY
+
+
+@st.composite
+def _selection_cases(draw):
+    """A history whose snapshots may share a time, and one request on it.
+
+    Snapshots fall on whole days, request bounds on half days from
+    before the first snapshot to after the last, so intervals open and
+    close at, between, before and after snapshot times.
+    """
+    days = sorted(draw(st.lists(st.integers(0, 5), min_size=1, max_size=8)))
+    history = EntityHistory(
+        entity=ID,
+        snapshots=tuple(
+            Snapshot(id=f"{ID}/prov/se/{k + 1}", entity=ID, generated_at=_moment(2 * day))
+            for k, day in enumerate(days)
+        ),
+    )
+    bound = st.one_of(st.none(), st.integers(-2, 12))
+    start, end = draw(bound), draw(bound)
+    if start is not None and end is not None:
+        if draw(st.booleans()):
+            end = start  # an instant
+        start, end = min(start, end), max(start, end)
+    at = draw(st.one_of(st.none(), st.integers(-2, 12)))
+    return history, TimeInterval(_moment(start), _moment(end)), draw(st.booleans()), _moment(at)
+
+
+class TestSelect:
+    @settings(max_examples=400, deadline=None)
+    @given(_selection_cases())
+    def test_matches_the_plain_rule(self, case):
+        history, interval, boundary, at = case
+        assert select(history, interval, boundary, at) == oracle_select(
+            history, interval, boundary, at
+        )
 
 
 class TestDoiCorrection:

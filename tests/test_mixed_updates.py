@@ -3,8 +3,12 @@
 Entity A's second snapshot stores an update that changes a quad of A,
 inserts a blank-subject quad and deletes a quad of entity B; A's third
 snapshot stores an update that touches B only.  B records the same
-changes in its own history.  Every reader of A's history sees A's share
-of those updates only, while discovery still reads them whole.
+changes in its own history.  Every reader of A's history, discovery
+included, sees A's share of those updates only: the quads whose subject
+is A, the rule the live data is read by.
+
+Entity C's second snapshot deletes a blank-subject quad and replaces
+C's title; no version of C may hold the blank-subject quad.
 """
 
 from __future__ import annotations
@@ -29,6 +33,7 @@ from chrono_rdf import (
 BASE = "https://mixed.example/"
 A = BASE + "br/1"
 B = BASE + "br/2"
+C = BASE + "br/4"
 G = BASE + "br/"
 PROV = "http://www.w3.org/ns/prov#"
 XSD_DATETIME = "http://www.w3.org/2001/XMLSchema#dateTime"
@@ -47,6 +52,9 @@ PART = quad(blank("part"), iri(LABEL), literal("part"), G)
 B_TITLE = quad(iri(B), iri(TITLE), literal("B"), G)
 B_GONE = quad(iri(B), iri(NOTE), literal("b-value"), G)
 B_EXTRA = quad(iri(B), iri(NOTE), literal("b-extra"), G)
+C_OLD = quad(iri(C), iri(TITLE), literal("Old C"), G)
+C_NEW = quad(iri(C), iri(TITLE), literal("New C"), G)
+C_PART = quad(blank("c-part"), iri(LABEL), literal("c part"), G)
 
 # (entity, snapshot number, time, update text)
 SNAPSHOTS = [
@@ -57,11 +65,15 @@ SNAPSHOTS = [
     (B, 2, T2, render_update([B_GONE], [])),
     (B, 3, T3, render_update([], [B_EXTRA])),
 ]
+C_SNAPSHOTS = [
+    (C, 1, T1, None),
+    (C, 2, T2, render_update([C_OLD, C_PART], [C_NEW])),
+]
 
 
-def _provenance():
+def _provenance(snapshots=SNAPSHOTS):
     quads = set()
-    for entity, n, when, update in SNAPSHOTS:
+    for entity, n, when, update in snapshots:
         se = iri(f"{entity}/prov/se/{n}")
         quads.add(quad(se, iri(PROV + "specializationOf"), iri(entity), G))
         quads.add(quad(se, iri(PROV + "generatedAtTime"), literal(when, XSD_DATETIME), G))
@@ -113,10 +125,8 @@ class TestUpdateMentioningASecondEntity:
     def test_get_delta_is_the_net_change_of_a(self, ctx):
         pair = get_delta(A, A + "/prov/se/2", ctx.entity_quads(A), ctx.history(A))
         assert pair.removed == {A_OLD}
-        assert {q for q in pair.added if q.subject.is_iri} == {A_NEW}
-        # the blank-subject quad stays in scope, its label scoped to the snapshot
-        (part,) = [q for q in pair.added if q.subject.is_blank]
-        assert (part.predicate, part.object) == (PART.predicate, PART.object)
+        # the blank-subject quad is out of scope: no version of A holds it
+        assert pair.added == {A_NEW}
         untouched = get_delta(A, A + "/prov/se/3", ctx.entity_quads(A), ctx.history(A))
         assert not untouched.added and not untouched.removed
 
@@ -127,7 +137,30 @@ class TestUpdateMentioningASecondEntity:
         assert record.kind == "modified"
         assert _subjects(record.delta.added | record.delta.removed) == {A}
 
-    def test_term_search_reads_the_whole_update(self, ctx):
+    def test_term_search_reads_each_entitys_share(self, ctx):
         outcome = execute_version_query(f'SELECT ?s WHERE {{ ?s <{NOTE}> "b-value" }}', ctx)
-        assert A in outcome.relevant_entities
+        # A's update deletes B's quad, which is B's share, not A's
+        assert outcome.relevant_entities == {B}
         assert {b.get("s").value for answer in outcome.results.values() for b in answer} == {B}
+
+
+class TestUpdateDeletingABlankSubjectQuad:
+    @pytest.fixture()
+    def c_ctx(self):
+        return memory_context(frozenset({C_NEW}), _provenance(C_SNAPSHOTS))
+
+    def test_every_rebuilt_version_holds_only_the_entity(self, c_ctx):
+        history = c_ctx.history(C)
+        versions = materialize_all(C, c_ctx.entity_quads(C), history)
+        assert [(v.time.isoformat(), set(v.graphs)) for v in versions] == [
+            (T1, {C_OLD}),
+            (T2, {C_NEW}),
+        ]
+        for v in versions:
+            at = materialize_at(C, v.time, c_ctx.entity_quads(C), history).version
+            for graphs in (v.graphs, at.graphs):
+                assert all(q.subject.is_iri and q.subject.value == C for q in graphs)
+
+    def test_get_delta_reports_only_quads_some_version_holds(self, c_ctx):
+        pair = get_delta(C, C + "/prov/se/2", c_ctx.entity_quads(C), c_ctx.history(C))
+        assert (pair.added, pair.removed) == ({C_NEW}, {C_OLD})
