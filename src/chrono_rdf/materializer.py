@@ -8,7 +8,10 @@ full reconstruction costs exactly n-1 delta applications instead of
 rebuilding each version from the present.  select decides which
 snapshots a request reads; rebuild turns them into versions with one
 walk (_chain) down to the oldest of them, and every caller that
-rebuilds versions goes through the two.
+rebuilds versions goes through the two.  A query that reads only some
+quads passes a quad test, and the walk narrows the present state and
+every update by it, so the versions it builds hold only what the query
+can read.
 
 delta_applications is a module level counter bumped on every delta
 application; tests use it to pin down the chaining behaviour.
@@ -18,7 +21,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from datetime import datetime
-from typing import Iterable, Sequence
+from typing import Callable, Iterable, Sequence
 
 from .errors import BeforeCreation, NoHistory
 from .provenance import (
@@ -118,15 +121,34 @@ def _as_history(entity: str, provenance) -> EntityHistory:
 
 
 def _chain(
-    entity: str, data: Iterable[Quad], history: EntityHistory, floor: int
+    entity: str,
+    data: Iterable[Quad],
+    history: EntityHistory,
+    floor: int,
+    reads: Callable[[Quad], bool] | None = None,
 ) -> dict[int, GraphSet]:
-    """Graphs for snapshot indices floor..n-1, walking the chain once."""
+    """Graphs for snapshot indices floor..n-1, walking the chain once.
+
+    With `reads`, every graph holds only the quads that pass it: the walk
+    starts from the narrowed current graph and applies each update
+    narrowed the same way, which gives the narrowed full version because
+    a per-quad test commutes with apply_delta.  An update that narrows to
+    nothing is not applied.
+    """
     snaps = history.snapshots
     out: dict[int, GraphSet] = {}
     g = current_graph(entity, data)
+    if reads is not None:
+        g = frozenset(filter(reads, g))
     for k in range(len(snaps) - 1, floor - 1, -1):
         if k != len(snaps) - 1:
-            g = _apply(invert(snaps[k + 1].update), g)
+            undo = invert(snaps[k + 1].update)
+            if reads is not None:
+                undo = Delta(
+                    tuple(filter(reads, undo.deletes)), tuple(filter(reads, undo.inserts))
+                )
+            if reads is None or not undo.is_empty():
+                g = _apply(undo, g)
         out[k] = g
     return out
 
@@ -155,16 +177,22 @@ def select(
 
 
 def rebuild(
-    entity: str, data: Iterable[Quad], history: EntityHistory, chosen: Sequence[int]
+    entity: str,
+    data: Iterable[Quad],
+    history: EntityHistory,
+    chosen: Sequence[int],
+    reads: Callable[[Quad], bool] | None = None,
 ) -> list[VersionedGraph]:
     """The chosen versions, oldest first, from one walk down to chosen[0].
 
     `chosen` is what select returned; when it is empty nothing is walked.
+    With `reads`, each version is built narrowed to the quads that pass
+    it (see _chain), never in full.
     """
     if not chosen:
         return []
     snaps = history.snapshots
-    graphs = _chain(entity, data, history, chosen[0])
+    graphs = _chain(entity, data, history, chosen[0], reads)
     return [
         VersionedGraph(
             entity=entity,

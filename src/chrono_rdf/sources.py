@@ -11,7 +11,8 @@ Endpoint access keeps to the SPARQL 1.1 protocol: queries go out as
 POST form data and answers come back as application/sparql-results+json.
 Entity graphs are fetched with a fixed template that covers the default
 graph and named graphs in one UNION, because ground deltas are graph
-scoped and reconstruction needs to know where each quad lives.
+scoped and reconstruction needs to know where each quad lives.  The
+`requests` package is imported only when some source is an endpoint.
 """
 
 from __future__ import annotations
@@ -19,9 +20,7 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Mapping, Sequence
-
-import requests
+from typing import TYPE_CHECKING, Mapping, Sequence
 
 from .errors import BadDelta, ConfigError, NetworkError, NoHistory, ParseError
 from .provenance import (
@@ -46,6 +45,9 @@ from .sparql_engine import (
     match_pattern,
     parse_select,
 )
+
+if TYPE_CHECKING:
+    import requests
 
 DEFAULT_EXPLOSION_LIMIT = 10_000
 
@@ -191,6 +193,8 @@ class EndpointSource:
         return out
 
     def _post(self, query_text: str) -> requests.Response:
+        import requests
+
         attempts = 0
         while True:
             attempts += 1
@@ -504,7 +508,11 @@ class Context:
 
 def load_sources(config: SourceConfig) -> Context:
     """Open every configured source and assemble the run context."""
-    session = requests.Session()
+    session = None
+    if any(map(_is_endpoint, (*config.data, *config.provenance))):
+        import requests
+
+        session = requests.Session()
     data_sources: list = []
     for location in config.data:
         if _is_endpoint(location):

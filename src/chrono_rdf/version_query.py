@@ -14,12 +14,14 @@ already been chased through.  Isolated patterns cannot be chased that
 way, so their ground terms are looked up in the context's index of the
 terms every parsed stored update mentions, which also surfaces entities
 that no longer exist in the current data.
-Third, each version is narrowed to the quads some pattern of the query
-could match, variables counting as wildcards; BGP, OPTIONAL and FILTER
-read nothing else.  The narrowed versions are aligned on the global list
-of snapshot times: an entity that did not change at time t keeps its
-previous state, copied forward, and all states that share a time are
-merged into one graph per time.  The copying is kept as key stamps, not
+Third, the versions are built narrowed to the quads some pattern of the
+query could match, variables counting as wildcards; BGP, OPTIONAL and
+FILTER read nothing else.  The chain walk narrows the present state and
+each stored update once, so no full version is ever built in a query.
+The narrowed versions are aligned on the global list of snapshot times:
+an entity that did not change at time t keeps its previous state,
+copied forward, and all states that share a time are merged into one
+graph per time.  The copying is kept as key stamps, not
 copies: each narrowed quad carries an int whose bit k is set when some
 entity's version holds it at key k.  A narrowed version stays a version
 even when it is empty, so the keys are those of the full states.  Last,
@@ -37,7 +39,7 @@ from __future__ import annotations
 
 from bisect import bisect_left
 from collections import deque
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from datetime import datetime
 from typing import Iterable, Iterator, Mapping, Sequence
 
@@ -157,7 +159,13 @@ def search_deltas(
 
 @dataclass(frozen=True)
 class Explication:
-    """What discovery produced: versions per entity, plus bookkeeping."""
+    """What discovery produced: versions per entity, plus bookkeeping.
+
+    Each version holds only the quads the query could read: those some
+    pattern could match in version modes, those a required joined pattern
+    could match in delta mode.  A version narrowed to nothing stays a
+    version, so the versions' times are those of the full states.
+    """
 
     versions: Mapping[str, tuple[VersionedGraph, ...]]
     relevant: frozenset[str]
@@ -173,13 +181,23 @@ def explicate(
 ) -> Explication:
     """Discover the entities a query touches and rebuild their versions.
 
-    Seeds and entities promoted through joined patterns are always
-    materialised; entities found through the stored updates' terms are
-    only materialised in version modes, because delta queries need just
-    their identity.  Raises ExplosionLimit when more entities than
-    allowed turn up.
+    In version modes every entity found is materialised.  A delta query
+    needs only the entities' identity, so there versions are rebuilt just
+    to chase the required joined patterns, and only when one of them can
+    bind a subject variable; otherwise the seeds are recorded unwalked.
+    Raises ExplosionLimit when more entities than allowed turn up.
     """
-    queue: deque[tuple[str, bool]] = deque((s, True) for s in sorted(plan.seeds))
+    required_joined = [p for p in plan.joined if p.required]
+    reads_joined = readable_by(required_joined)
+    if mode == "delta":
+        reads = reads_joined
+        chases = any(
+            var in plan.subject_variables for p in required_joined for var in p.variables()
+        )
+    else:
+        reads = readable_by(plan.joined + plan.isolated)
+        chases = True
+    queue: deque[tuple[str, bool]] = deque((s, chases) for s in sorted(plan.seeds))
     # an optional match must never pull in new entities
     searched = [p for p in plan.isolated if p.required]
     postings = ctx.term_postings() if searched else {}
@@ -192,8 +210,6 @@ def explicate(
 
     versions: dict[str, tuple[VersionedGraph, ...] | None] = {}
     snapshots_involved = 0
-    required_joined = [p for p in plan.joined if p.required]
-    reads_joined = readable_by(required_joined)
 
     while queue:
         entity, materialize = queue.popleft()
@@ -210,16 +226,17 @@ def explicate(
         history = ctx.history(entity)
         if history is None:
             # without provenance the current graphs are one always-alive state
-            entity_versions = [
-                VersionedGraph(entity, None, ctx.entity_quads(entity), reconstructed=False)
-            ]
+            graphs = frozenset(filter(reads, ctx.entity_quads(entity)))
+            entity_versions = [VersionedGraph(entity, None, graphs, reconstructed=False)]
         else:
             chosen = select(
                 history, interval, boundary=True, at=at if mode == "single" else None
             )
             entity_versions = []
             if chosen:
-                entity_versions = rebuild(entity, ctx.entity_quads(entity), history, chosen)
+                entity_versions = rebuild(
+                    entity, ctx.entity_quads(entity), history, chosen, reads
+                )
                 # the walk rebuilt every version from chosen[0] up
                 snapshots_involved += len(history.snapshots) - chosen[0]
         versions[entity] = tuple(entity_versions)
@@ -352,13 +369,7 @@ def execute_version_query(
     plan = classify(parsed)
     mode = "single" if at is not None else "cross"
     explication = explicate(plan, ctx, interval=interval, mode=mode, at=at)
-    reads = readable_by(parsed.patterns)
-    # a version narrowed to nothing stays a version: its time is still a
-    # key, and it still replaces the entity's earlier state
-    versions = {
-        entity: [replace(v, graphs=frozenset(filter(reads, v.graphs))) for v in vs]
-        for entity, vs in explication.versions.items()
-    }
+    versions = explication.versions
 
     results: dict[str, SolutionSet] = {}
     if mode == "single":

@@ -33,7 +33,8 @@ from chrono_rdf import (
     quad,
     touches,
 )
-from chrono_rdf.benchgen import scheme_query
+from chrono_rdf import delta_query, materializer
+from chrono_rdf.benchgen import CITO_CITES, known_subject_query, scheme_query
 
 WRONG_QUAD = quad(iri(ID), iri(HAS_VALUE), literal(WRONG_DOI, XSD_STRING), ID_GRAPH)
 RIGHT_QUAD = quad(iri(ID), iri(HAS_VALUE), literal(RIGHT_DOI, XSD_STRING), ID_GRAPH)
@@ -197,3 +198,45 @@ class TestGeneratedWorldReport:
         assert [(r.entity, r.snapshot) for r in got] == [
             (r.entity, r.snapshot) for r in expected
         ]
+
+
+class TestDiscoveryWalks:
+    """In delta mode discovery walks a chain only to chase a subject variable."""
+
+    @pytest.fixture()
+    def walks(self, monkeypatch):
+        """(entity, quad test) of every chain walk, in order."""
+        seen: list[tuple] = []
+        walk = materializer._chain
+
+        def counted(entity, data, history, floor, reads=None):
+            seen.append((entity, reads))
+            return walk(entity, data, history, floor, reads)
+
+        monkeypatch.setattr(materializer, "_chain", counted)
+        monkeypatch.setattr(delta_query, "cached_chain", counted)
+        return seen
+
+    def test_no_subject_variable_leaves_only_the_deleted_check(self, small_world, walks):
+        entity = next(
+            e
+            for e, t in sorted(small_world.ledger.entities.items())
+            if len(t.times) >= 3 and t.snapshots[-1].kind == "deleted"
+        )
+        text = f"SELECT ?p ?o WHERE {{ <{entity}> ?p ?o }}"
+        outcome = execute_delta_query(text, small_world.context())
+        assert outcome.relevant_entities == {entity}
+        assert any(r.kind == "deleted" for r in outcome.report)
+        # the check rebuilds full versions; discovery walked nothing
+        assert walks == [(entity, None)]
+
+    def test_a_subject_variable_is_still_chased(self, small_world, walks):
+        seed = next(
+            e
+            for e, t in sorted(small_world.ledger.entities.items())
+            if any(q.predicate.value == CITO_CITES for v in t.versions for q in v)
+        )
+        outcome = execute_delta_query(known_subject_query(seed), small_world.context())
+        entity, reads = walks[0]
+        assert entity == seed and reads is not None
+        assert outcome.relevant_entities > {seed}

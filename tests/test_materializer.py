@@ -32,11 +32,18 @@ from chrono_rdf import (
     scope_delta,
     serialize,
 )
+from chrono_rdf import materializer, version_query
+from chrono_rdf.benchgen import (
+    CITO_CITES,
+    known_subject_query,
+    scheme_query,
+    value_regex_query,
+)
 from chrono_rdf.cli import main
-from chrono_rdf.materializer import select
+from chrono_rdf.materializer import delta_applications, rebuild, select
 from chrono_rdf.version_query import explicate
 
-from oracles import oracle_select
+from oracles import _match_term, oracle_select
 from conftest import (
     BR,
     DOI_DATA,
@@ -200,6 +207,35 @@ class TestDoiCorrection:
         assert len(versions) == 1
         assert versions[0].graphs == current_graph(BR, DOI_DATA)
         assert not versions[0].reconstructed
+
+
+class TestNarrowedWalk:
+    """rebuild with a quad test builds each version already narrowed."""
+
+    HISTORY = load_history(ID, DOI_PROVENANCE)
+
+    def test_an_update_that_narrows_to_nothing_is_not_applied(self):
+        # the correction touches only the identifier's value
+        def reads(q):
+            return q.predicate.value != HAS_VALUE
+
+        delta_applications.reset()
+        versions = rebuild(ID, DOI_DATA, self.HISTORY, (0, 1), reads)
+        assert delta_applications.count == 0
+        narrowed = frozenset(filter(reads, current_graph(ID, DOI_DATA)))
+        assert narrowed
+        assert [v.graphs for v in versions] == [narrowed, narrowed]
+        assert [v.reconstructed for v in versions] == [True, False]
+
+    def test_a_narrowed_update_is_applied_narrowed(self):
+        def reads(q):
+            return q.predicate.value == HAS_VALUE
+
+        delta_applications.reset()
+        versions = rebuild(ID, DOI_DATA, self.HISTORY, (0, 1), reads)
+        assert delta_applications.count == 1
+        assert [_doi_value(v.graphs) for v in versions] == [WRONG_DOI, RIGHT_DOI]
+        assert all(len(v.graphs) == 1 for v in versions)
 
 
 class TestIntervals:
@@ -384,3 +420,85 @@ class TestSelectionBoundaries:
             got = [(v["time"], v["graph"]) for v in doc["versions"]]
             expected = _ledger_versions(truth, interval, boundary=True)
             assert got == [(format_timestamp(t), serialize(g)) for t, g in expected]
+
+
+def _ledger_reads(query):
+    """Whether some pattern of the query could match a quad, variables as
+    wildcards: each position is matched on its own, with a fresh binding."""
+    shapes = [(p.subject, p.predicate, p.object) for p in query.patterns]
+
+    def reads(q) -> bool:
+        terms = (q.subject, q.predicate, q.object)
+        return any(
+            all(_match_term(pt, t, {}) is not None for pt, t in zip(shape, terms))
+            for shape in shapes
+        )
+
+    return reads
+
+
+NARROWED_QUERIES = ("known-subject", "scheme", "value-regex", "seed ?p ?o")
+
+
+@pytest.fixture(scope="module", params=["small_world", "big_world"])
+def narrowing_world(request):
+    """A world, its context, and a seed that cites something and changed."""
+    world = request.getfixturevalue(request.param)
+    seed = next(
+        e
+        for e, t in sorted(world.ledger.entities.items())
+        if len(t.times) >= 4
+        and any(s.kind == "modified" for s in t.snapshots)
+        and any(q.predicate.value == CITO_CITES for v in t.versions for q in v)
+    )
+    return world, world.context(), seed
+
+
+@pytest.mark.parametrize("which", NARROWED_QUERIES)
+class TestNarrowedExplication:
+    """explicate builds narrowed versions that equal the ledger's versions
+    filtered by the query's patterns, at the same times, and walks exactly
+    as far as it did when it built full versions."""
+
+    def test_versions_match_the_filtered_ledger(self, narrowing_world, which, monkeypatch):
+        world, ctx, seed = narrowing_world
+        text = {
+            "known-subject": known_subject_query(seed),
+            "scheme": scheme_query(),
+            "value-regex": value_regex_query(),
+            "seed ?p ?o": f"SELECT ?p ?o WHERE {{ <{seed}> ?p ?o }}",
+        }[which]
+        query = parse_select(text)
+        plan = classify(query)
+        reads = _ledger_reads(query)
+        times = world.ledger.entities[seed].times
+        cases = [
+            ("cross", UNBOUNDED, None),
+            ("cross", TimeInterval(times[1], times[-2]), None),
+            ("single", UNBOUNDED, times[len(times) // 2]),
+        ]
+        for mode, interval, at in cases:
+            got = explicate(plan, ctx, interval=interval, mode=mode, at=at)
+            with monkeypatch.context() as patched:
+                # the walk as it was before it narrowed: full versions
+                patched.setattr(
+                    version_query, "rebuild",
+                    lambda entity, data, history, chosen, reads=None:
+                        materializer.rebuild(entity, data, history, chosen),
+                )
+                full = explicate(plan, ctx, interval=interval, mode=mode, at=at)
+            assert got.relevant == full.relevant
+            assert got.snapshots_involved == full.snapshots_involved
+            assert got.versions.keys() == full.versions.keys()
+            walked = 0
+            for entity, versions in got.versions.items():
+                truth = world.ledger.entities[entity]
+                chosen = oracle_select(ctx.history(entity), interval, boundary=True, at=at)
+                assert [v.time for v in versions] == [truth.times[k] for k in chosen]
+                assert [v.time for v in versions] == [v.time for v in full.versions[entity]]
+                for v, k in zip(versions, chosen):
+                    assert v.graphs == frozenset(filter(reads, truth.versions[k]))
+                if chosen:
+                    walked += len(truth.times) - chosen[0]
+            assert got.snapshots_involved == walked
+            assert got.versions, (which, mode)

@@ -3,6 +3,10 @@
 from __future__ import annotations
 
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -36,6 +40,7 @@ from chrono_rdf import (
     parse_select,
     quad,
 )
+import chrono_rdf
 from chrono_rdf import sparql_engine
 from chrono_rdf.provenance import OCO_HAS_UPDATE_QUERY
 from chrono_rdf.sources import FileProvenanceSource, FileSource
@@ -241,6 +246,27 @@ class TestLoadSources:
         ctx = load_sources(config)
         assert isinstance(ctx, Context)
         assert ctx.history(ID) is not None
+
+    def test_files_alone_do_not_import_requests(self, doi_files, tmp_path):
+        data_path, prov_path = doi_files
+        config = tmp_path / "sources.json"
+        config.write_text(
+            json.dumps({"data": [str(data_path)], "provenance": [str(prov_path)]}),
+            encoding="utf-8",
+        )
+        script = (
+            "import sys\n"
+            "from chrono_rdf.cli import SourceConfig, load_sources\n"
+            f"ctx = load_sources(SourceConfig.from_file({str(config)!r}))\n"
+            f"assert ctx.history({ID!r}) is not None\n"
+            "assert 'requests' not in sys.modules, 'requests was imported'\n"
+        )
+        src = str(Path(chrono_rdf.__file__).resolve().parents[1])
+        env = {**os.environ, "PYTHONPATH": src}
+        done = subprocess.run(
+            [sys.executable, "-c", script], env=env, capture_output=True, text=True
+        )
+        assert done.returncode == 0, done.stderr
 
 
 @pytest.fixture()
