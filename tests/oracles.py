@@ -4,11 +4,12 @@ Everything here is written the dumbest correct way: full scans instead
 of indexes, union-find instead of graph search, version diffs instead of
 stored change sets.  Slow is fine; sharing code with the engine is not,
 with one exception: evaluate_every_key runs the engine's own discovery,
-alignment and evaluation, so that it differs from the engine only in the
-two steps it is there to check.  CharScanner is the character-loop token
-reader the engine's parsers used before their readers became regular
-expressions; test_scanner.py plugs it into those parsers in place of
-rdf_model.Scanner.
+alignment and evaluation, and rebuilds each discovered entity's versions
+in full through the engine's unnarrowed walk, so that it differs from
+the engine only in the two steps it is there to check.  CharScanner is
+the character-loop token reader the engine's parsers used before their
+readers became regular expressions; test_scanner.py plugs it into those
+parsers in place of rdf_model.Scanner.
 """
 
 from __future__ import annotations
@@ -25,7 +26,7 @@ from chrono_rdf import (
     Term,
     format_timestamp,
 )
-from chrono_rdf.materializer import UNBOUNDED
+from chrono_rdf.materializer import UNBOUNDED, VersionedGraph, rebuild, select
 from chrono_rdf.sparql_engine import TriplePattern, Variable, parse_update
 from chrono_rdf.sparql_engine import evaluate as sparql_evaluate
 from chrono_rdf.version_query import align_and_merge, classify, explicate
@@ -249,23 +250,33 @@ def evaluate_every_key(query: ParsedQuery, ctx, interval=UNBOUNDED, at=None) -> 
 
     Discovery, alignment and evaluation are the engine's own; what this
     leaves out is the narrowing of each version to the quads the query
-    can read and the one evaluation over key-stamped quads: it reads
-    every key's full state from the timeline and evaluates it on its
-    own, the way every key was evaluated before both.
+    can read and the one evaluation over key-stamped quads: it takes
+    only the entities from explicate, rebuilds each one's versions in
+    full, reads every key's full state from the timeline and evaluates
+    it on its own, the way every key was evaluated before both.
     """
     mode = "single" if at is not None else "cross"
     explication = explicate(classify(query), ctx, interval=interval, mode=mode, at=at)
+    versions = {}
+    for entity in explication.versions:
+        history = ctx.history(entity)
+        if history is None:
+            graphs = frozenset(ctx.entity_quads(entity))
+            versions[entity] = (VersionedGraph(entity, None, graphs, reconstructed=False),)
+        else:
+            chosen = select(history, interval, boundary=True, at=at)
+            versions[entity] = tuple(rebuild(entity, ctx.entity_quads(entity), history, chosen))
     if mode == "single":
         merged = set()
         times = []
-        for vs in explication.versions.values():
+        for vs in versions.values():
             for v in vs:
                 merged |= v.graphs
                 if v.time is not None:
                     times.append(v.time)
         key = max(times) if times else at
         return {format_timestamp(key): sparql_evaluate(query, frozenset(merged))}
-    timeline = align_and_merge(explication.versions, interval)
+    timeline = align_and_merge(versions, interval)
     return {
         format_timestamp(t): sparql_evaluate(query, timeline.datasets[t])
         for t in timeline.times
