@@ -83,6 +83,10 @@ LITERAL_HAS_VALUE = "http://www.essepuntato.it/2010/06/literalreification/hasLit
 
 CHANGE_KINDS = ("literal-edit", "triple-add", "triple-remove", "entity-delete")
 
+# every generated IRI starts with BASE_IRI; histories start at START
+BASE_IRI = "https://chrono.example/"
+START = parse_timestamp("2020-01-01T08:00:00")
+
 
 def _default_mix() -> dict[str, float]:
     return {
@@ -104,8 +108,6 @@ class GenSpec:
     snapshot_min: int = 2
     snapshot_max: int = 35
     change_mix: Mapping[str, float] = field(default_factory=_default_mix)
-    base_iri: str = "https://chrono.example/"
-    start: str = "2020-01-01T08:00:00"
 
     def validate(self) -> None:
         if self.n_entities < 1:
@@ -123,10 +125,6 @@ class GenSpec:
             raise SpecError("change mix weights must be non-negative")
         if sum(self.change_mix.values()) <= 0:
             raise SpecError("change mix weights must not all be zero")
-        try:
-            parse_timestamp(self.start)
-        except ValueError as exc:
-            raise SpecError(f"invalid start timestamp: {exc}")
 
 
 def _truncated_normal_loc(target_mean: float, stdev: float, lo: float, hi: float) -> float:
@@ -308,7 +306,7 @@ class GeneratedWorld:
         return memory_context(self.data, self.provenance, **kwargs)
 
 
-def _agents(base: str) -> list[str]:
+def _agents() -> list[str]:
     return [f"https://orcid.org/0000-0002-1825-000{d}" for d in range(5)]
 
 
@@ -392,14 +390,12 @@ class _WorldBuilder:
     def __init__(self, spec: GenSpec):
         self.spec = spec
         self.rng = random.Random(spec.seed)
-        self.base = spec.base_iri
-        self.prov_graph = self.base + "prov/"
-        self.start = parse_timestamp(spec.start)
-        self.agents = _agents(self.base)
+        self.prov_graph = BASE_IRI + "prov/"
+        self.agents = _agents()
         n_br = (spec.n_entities + 1) // 2
         n_id = spec.n_entities // 2
-        self.br_names = [f"{self.base}br/{k}" for k in range(n_br)]
-        self.id_names = [f"{self.base}id/{k}" for k in range(n_id)]
+        self.br_names = [f"{BASE_IRI}br/{k}" for k in range(n_br)]
+        self.id_names = [f"{BASE_IRI}id/{k}" for k in range(n_id)]
 
     def pick_kind(self, weights: Mapping[str, float], choices: Sequence[str]) -> str:
         total = sum(weights[c] for c in choices)
@@ -444,14 +440,14 @@ class _WorldBuilder:
 
     def _build_entity(self, j: int, kind: str, entity: str, loc: float) -> _EntityBuilder:
         spec, rng = self.spec, self.rng
-        graph = self.base + ("br/" if kind == "br" else "id/")
+        graph = BASE_IRI + ("br/" if kind == "br" else "id/")
         b = _EntityBuilder(self, entity, graph)
         count = _sample_count(rng, loc, spec)
         start_day = rng.randint(0, 59)
         times = []
         for k in range(count):
             jitter = rng.randint(0, 6 * 3600)
-            times.append(self.start + timedelta(days=start_day + k, seconds=jitter))
+            times.append(START + timedelta(days=start_day + k, seconds=jitter))
 
         creation: set[Quad] = set()
         if kind == "br":
@@ -713,9 +709,8 @@ def bench_run(
     world: GeneratedWorld,
     repetitions: int = 3,
     subjects: int = 3,
-    verify: bool = True,
 ) -> BenchReport:
-    """Time the ten workload classes and assemble the report."""
+    """Gate the engine on the ledger, then time the ten workload classes."""
     rng = random.Random(world.spec.seed + 1)
     ledger = world.ledger
     change_times = ledger.change_times()
@@ -739,9 +734,8 @@ def bench_run(
     sp_queries = {e: known_subject_query(e) for e in picked}
     po_query = scheme_query(DATACITE_ORCID)
 
-    if verify:
-        _gate_cross_version(world, sp_queries[picked[0]])
-        _gate_cross_version(world, po_query)
+    _gate_cross_version(world, sp_queries[picked[0]])
+    _gate_cross_version(world, po_query)
 
     def fresh() -> Context:
         return world.context()
@@ -763,41 +757,14 @@ def bench_run(
             snapshots += len(snaps) - len(snaps) // 2
         return snapshots, float(len(picked))
 
-    def run_cv(query_texts: Sequence[str]) -> Callable:
+    def run_queries(query_texts: Sequence[str], execute: Callable, **options) -> Callable:
         def inner(ctx: Context) -> tuple[float, float]:
             snapshots = entities = 0.0
             for text in query_texts:
-                outcome = execute_version_query(text, ctx)
-                snapshots += outcome.snapshots_involved
+                outcome = execute(text, ctx, **options)
+                # a delta outcome reports entities only
+                snapshots += getattr(outcome, "snapshots_involved", 0)
                 entities += len(outcome.relevant_entities)
-            return snapshots, entities
-        return inner
-
-    def run_sv(query_texts: Sequence[str]) -> Callable:
-        def inner(ctx: Context) -> tuple[float, float]:
-            snapshots = entities = 0.0
-            for text in query_texts:
-                outcome = execute_version_query(text, ctx, at=mid_time)
-                snapshots += outcome.snapshots_involved
-                entities += len(outcome.relevant_entities)
-            return snapshots, entities
-        return inner
-
-    def run_cd(query_texts: Sequence[str]) -> Callable:
-        def inner(ctx: Context) -> tuple[float, float]:
-            snapshots = entities = 0.0
-            for text in query_texts:
-                outcome = execute_delta_query(text, ctx)
-                entities += outcome.entities_involved
-            return snapshots, entities
-        return inner
-
-    def run_sd(query_texts: Sequence[str]) -> Callable:
-        def inner(ctx: Context) -> tuple[float, float]:
-            snapshots = entities = 0.0
-            for text in query_texts:
-                outcome = execute_delta_query(text, ctx, interval=single_interval)
-                entities += outcome.entities_involved
             return snapshots, entities
         return inner
 
@@ -812,19 +779,24 @@ def bench_run(
         for e in picked:
             current_graph(e, ctx.entity_quads(e))
 
-    sp_texts = list(sp_queries.values())
     classes: list[tuple[str, str, Callable, Callable]] = [
         ("materialize-all-versions", "known-subject", run_vm_all, baseline_current),
         ("materialize-one-version", "known-subject", run_vm_one, baseline_current),
-        ("cross-version-query", "known-subject", run_cv(sp_texts), baseline_queries(sp_texts)),
-        ("single-version-query", "known-subject", run_sv(sp_texts), baseline_queries(sp_texts)),
-        ("cross-delta-query", "known-subject", run_cd(sp_texts), baseline_queries(sp_texts)),
-        ("single-delta-query", "known-subject", run_sd(sp_texts), baseline_queries(sp_texts)),
-        ("cross-version-query", "unknown-subject", run_cv([po_query]), baseline_queries([po_query])),
-        ("single-version-query", "unknown-subject", run_sv([po_query]), baseline_queries([po_query])),
-        ("cross-delta-query", "unknown-subject", run_cd([po_query]), baseline_queries([po_query])),
-        ("single-delta-query", "unknown-subject", run_sd([po_query]), baseline_queries([po_query])),
     ]
+    version, delta = execute_version_query, execute_delta_query
+    for subject_mode, texts in (
+        ("known-subject", list(sp_queries.values())),
+        ("unknown-subject", [po_query]),
+    ):
+        classes += [
+            (workload, subject_mode, runner, baseline_queries(texts))
+            for workload, runner in (
+                ("cross-version-query", run_queries(texts, version)),
+                ("single-version-query", run_queries(texts, version, at=mid_time)),
+                ("cross-delta-query", run_queries(texts, delta)),
+                ("single-delta-query", run_queries(texts, delta, interval=single_interval)),
+            )
+        ]
 
     rows: list[BenchRow] = []
     for workload, subject_mode, runner, baseline in classes:

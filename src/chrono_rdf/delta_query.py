@@ -108,7 +108,7 @@ def execute_delta_query(
 ) -> DeltaQueryOutcome:
     parsed = parse_select(query) if isinstance(query, str) else query
     plan = classify(parsed)
-    explication = explicate(plan, ctx, interval=interval, mode="delta")
+    explication = explicate(plan, ctx, interval=interval, delta=True)
     wanted = frozenset(properties)
 
     records: list[ChangeRecord] = []

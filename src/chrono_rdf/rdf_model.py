@@ -18,7 +18,7 @@ from __future__ import annotations
 
 import re
 from dataclasses import dataclass
-from typing import Iterable, Iterator
+from typing import Iterable
 from urllib.parse import urljoin
 
 from .errors import ParseError, UnknownPrefix
@@ -669,10 +669,3 @@ def parse_document(text: str, fmt: str, base: str | None = None) -> GraphSet:
         return parse_turtle(text, base=base)
     raise ValueError(f"unknown format {fmt!r}")
 
-
-def subjects(graphs: Iterable[Quad]) -> Iterator[Term]:
-    seen: set[Term] = set()
-    for q in graphs:
-        if q.subject not in seen:
-            seen.add(q.subject)
-            yield q.subject

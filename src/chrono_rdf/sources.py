@@ -235,7 +235,7 @@ def _term_from_json(url: str, node: Mapping) -> Term:
     raise NetworkError(url, None, f"unknown term type {kind!r} in results")
 
 
-def _pattern_text(pattern: TriplePattern, subject_var: str = "s") -> tuple[str, str]:
+def _pattern_text(pattern: TriplePattern) -> tuple[str, str]:
     """Render a pattern for remote matching; returns (text, subject name)."""
 
     def part(term) -> str:
@@ -243,8 +243,8 @@ def _pattern_text(pattern: TriplePattern, subject_var: str = "s") -> tuple[str, 
             return f"?{term.name}"
         return term.n3()
 
-    subject = f"?{subject_var}" if isinstance(pattern.subject, Variable) else part(pattern.subject)
-    name = pattern.subject.name if isinstance(pattern.subject, Variable) else subject_var
+    subject = "?s" if isinstance(pattern.subject, Variable) else part(pattern.subject)
+    name = pattern.subject.name if isinstance(pattern.subject, Variable) else "s"
     return f"{subject} {part(pattern.predicate)} {part(pattern.object)}", name
 
 
@@ -320,14 +320,15 @@ class FileProvenanceSource(FileSource):
     def __init__(self, location: str, graphs: GraphSet | None = None):
         super().__init__(location, graphs)
         self._snapshots_of: dict[str, set[Term]] | None = None
-        self._quads_of_snapshot: dict[Term, set[Quad]] | None = None
+        self._quads_of_snapshot: dict[Term, list[Quad]] | None = None
 
-    def _index(self) -> tuple[dict[str, set[Term]], dict[Term, set[Quad]]]:
+    def _index(self) -> tuple[dict[str, set[Term]], dict[Term, list[Quad]]]:
+        """Each entity's snapshots, and each subject's quads in file order."""
         if self._snapshots_of is None:
             snapshots_of: dict[str, set[Term]] = {}
-            quads_of: dict[Term, set[Quad]] = {}
+            quads_of: dict[Term, list[Quad]] = {}
             for q in self.graphs:
-                quads_of.setdefault(q.subject, set()).add(q)
+                quads_of.setdefault(q.subject, []).append(q)
                 if q.predicate.value == SPECIALIZATION_OF and q.object.is_iri:
                     snapshots_of.setdefault(q.object.value, set()).add(q.subject)
             self._snapshots_of = snapshots_of
@@ -338,24 +339,23 @@ class FileProvenanceSource(FileSource):
         snapshots_of, quads_of = self._index()
         collected: set[Quad] = set()
         for snapshot in snapshots_of.get(entity, ()):
-            collected |= quads_of.get(snapshot, set())
+            collected.update(quads_of[snapshot])
         return frozenset(collected)
 
     def delta_records(self) -> list[DeltaRecord]:
-        specialization: dict[Term, list[str]] = {}
-        texts: dict[Term, list[str]] = {}
-        for q in self.graphs:
-            if q.predicate.value == SPECIALIZATION_OF and q.object.is_iri:
-                specialization.setdefault(q.subject, []).append(q.object.value)
-            elif q.predicate.value == OCO_HAS_UPDATE_QUERY and q.object.is_literal:
-                texts.setdefault(q.subject, []).append(q.object.value)
+        """One record per update text and entity of each snapshot."""
         records = []
-        for snapshot, entities in specialization.items():
+        for snapshot, quads in self._index()[1].items():
             if not snapshot.is_iri:
                 continue
-            for text in texts.get(snapshot, ()):
-                for entity in entities:
-                    records.append(DeltaRecord(entity=entity, snapshot=snapshot.value, text=text))
+            entities = [
+                q.object.value
+                for q in quads
+                if q.predicate.value == SPECIALIZATION_OF and q.object.is_iri
+            ]
+            for q in quads:
+                if q.predicate.value == OCO_HAS_UPDATE_QUERY and q.object.is_literal:
+                    records += [DeltaRecord(e, snapshot.value, q.object.value) for e in entities]
         return sorted(records, key=lambda r: (r.entity, r.snapshot))
 
 

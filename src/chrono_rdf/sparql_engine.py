@@ -538,19 +538,16 @@ class TripleIndex:
 
     Each triple carries a key stamp: an int whose bit k is set when the
     triple holds at key k.  A plain quad set is the one-key case, every
-    stamp 1; a mapping from quads (or triples) to stamps gives each
-    triple the union of the stamps of the quads that hold it, so a
-    triple held in two graphs holds wherever either quad does.
+    stamp 1; a mapping from quads to stamps gives each triple the union
+    of the stamps of the quads that hold it, so a triple held in two
+    graphs holds wherever either quad does.
     """
 
-    def __init__(
-        self,
-        data: Iterable[Quad] | Iterable[Triple] | Mapping[Quad, int] | Mapping[Triple, int],
-    ):
-        items = data.items() if isinstance(data, Mapping) else ((item, 1) for item in data)
+    def __init__(self, data: Iterable[Quad] | Mapping[Quad, int]):
+        items = data.items() if isinstance(data, Mapping) else ((q, 1) for q in data)
         stamps: dict[Triple, int] = {}
-        for item, stamp in items:
-            t = item.triple if isinstance(item, Quad) else item
+        for q, stamp in items:
+            t = q.triple
             stamps[t] = stamps.get(t, 0) | stamp
         self.stamps = stamps
         self.by_subject: dict[Term, list[Triple]] = defaultdict(list)

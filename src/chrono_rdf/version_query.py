@@ -8,12 +8,16 @@ subject position somewhere in the query; otherwise it is isolated.
 Second, the relevant entities are discovered.  Joined patterns start
 from the subject IRIs and recursively promote every IRI bound to a
 variable that appears in subject position, materialising versions as
-they go.  The chase reads each version only through the quads the
-required joined patterns could match, and skips a state the entity has
-already been chased through.  Isolated patterns cannot be chased that
-way, so their ground terms are looked up in the context's index of the
-terms every parsed stored update mentions, which also surfaces entities
-that no longer exist in the current data.
+they go.  The chase runs through every joined pattern, OPTIONAL ones
+included, whose predicate or object is such a variable; it reads each
+version only through the quads those patterns could match, and skips a
+state the entity has already been chased through.  It follows patterns
+from subject to object only: an entity reached solely backwards, as the
+subject of a joined pattern whose object another pattern binds, is not
+discovered.  Isolated patterns, OPTIONAL ones included, cannot be
+chased that way, so their ground terms are looked up in the context's
+index of the terms every parsed stored update mentions, which also
+surfaces entities that no longer exist in the current data.
 Third, the versions are built narrowed to the quads some pattern of the
 query could match, variables counting as wildcards; BGP, OPTIONAL and
 FILTER read nothing else.  The chain walk narrows the present state and
@@ -30,8 +34,8 @@ so each solution row knows the keys at which it holds, and the rows are
 projected key by key.  A key at which no row starts or stops holding
 shares the previous key's answer.
 
-A query whose patterns are all isolated and carry no ground term at all
-would make the whole dataset relevant; it is rejected as unbounded.
+An isolated pattern that carries no ground term at all would make the
+whole dataset relevant; a query holding one is rejected as unbounded.
 Discovery also refuses to walk past the configured entity limit.
 """
 
@@ -41,7 +45,8 @@ from bisect import bisect_left
 from collections import deque
 from dataclasses import dataclass
 from datetime import datetime
-from typing import Iterable, Iterator, Mapping, Sequence
+from functools import cached_property
+from typing import Iterable, Mapping, Sequence
 
 from .errors import ExplosionLimit, UnboundedQuery
 # perfbench/spans.py hooks the chain walker under the name cached_chain;
@@ -86,8 +91,8 @@ def classify(query: ParsedQuery) -> QueryPlan:
     Connectivity is computed over the undirected graph whose nodes are
     the distinct terms of all patterns and whose edges link the three
     positions of each pattern.  The result depends only on the set of
-    patterns, not their order.  Raises UnboundedQuery when every pattern
-    is isolated and none holds a single ground term.
+    patterns, not their order.  Raises UnboundedQuery when some isolated
+    pattern holds no ground term.
     """
     adjacency: dict[tuple[str, str], set[tuple[str, str]]] = {}
     subject_iri_nodes: set[tuple[str, str]] = set()
@@ -116,9 +121,9 @@ def classify(query: ParsedQuery) -> QueryPlan:
     for p in query.patterns:
         (joined if _node(p.subject) in reached else isolated).append(p)
 
-    if isolated and not any(tuple(p.ground_terms()) for p in isolated):
+    if not all(tuple(p.ground_terms()) for p in isolated):
         raise UnboundedQuery(
-            "every pattern is isolated and none carries an IRI or literal;"
+            "an isolated pattern carries no IRI or literal;"
             " the query would touch the whole dataset at every time"
         )
 
@@ -162,9 +167,9 @@ class Explication:
     """What discovery produced: versions per entity, plus bookkeeping.
 
     Each version holds only the quads the query could read: those some
-    pattern could match in version modes, those a required joined pattern
-    could match in delta mode.  A version narrowed to nothing stays a
-    version, so the versions' times are those of the full states.
+    pattern could match in version modes, those a chased pattern could
+    match in delta mode.  A version narrowed to nothing stays a version,
+    so the versions' times are those of the full states.
     """
 
     versions: Mapping[str, tuple[VersionedGraph, ...]]
@@ -176,37 +181,38 @@ def explicate(
     plan: QueryPlan,
     ctx: Context,
     interval: TimeInterval = UNBOUNDED,
-    mode: str = "cross",
+    delta: bool = False,
     at: datetime | None = None,
 ) -> Explication:
     """Discover the entities a query touches and rebuild their versions.
 
-    In version modes every entity found is materialised.  A delta query
-    needs only the entities' identity, so there versions are rebuilt just
-    to chase the required joined patterns, and only when one of them can
-    bind a subject variable; otherwise the seeds are recorded unwalked.
-    Raises ExplosionLimit when more entities than allowed turn up.
+    The chased patterns are the joined ones, OPTIONAL included, whose
+    predicate or object is a subject variable: only they can promote an
+    entity.  Every isolated pattern, OPTIONAL included, is looked up in
+    the term index and the current data.  With `at` each entity keeps
+    its one version live at that instant; otherwise every version in the
+    interval, plus the one live when it opens.  Every entity found is
+    materialised, except with `delta`: a delta query needs only the
+    entities' identity, so there versions are rebuilt just to run the
+    chase, and only when some pattern is chased; otherwise the seeds are
+    recorded unwalked.  Raises ExplosionLimit when more entities than
+    allowed turn up.
     """
-    required_joined = [p for p in plan.joined if p.required]
-    reads_joined = readable_by(required_joined)
-    if mode == "delta":
-        reads = reads_joined
-        chases = any(
-            var in plan.subject_variables for p in required_joined for var in p.variables()
-        )
-    else:
-        reads = readable_by(plan.joined + plan.isolated)
-        chases = True
-    queue: deque[tuple[str, bool]] = deque((s, chases) for s in sorted(plan.seeds))
-    # an optional match must never pull in new entities
-    searched = [p for p in plan.isolated if p.required]
-    postings = ctx.term_postings() if searched else {}
-    for pattern in searched:
+    subject_variables = plan.subject_variables
+    chased = [
+        p for p in plan.joined
+        if p.predicate in subject_variables or p.object in subject_variables
+    ]
+    reads_chased = readable_by(chased)
+    reads = reads_chased if delta else readable_by(plan.joined + plan.isolated)
+    walk_seeds = bool(chased) or not delta
+    queue: deque[tuple[str, bool]] = deque((s, walk_seeds) for s in sorted(plan.seeds))
+    postings = ctx.term_postings() if plan.isolated else {}
+    for pattern in plan.isolated:
         found = {e for e, _snap in search_deltas(pattern.ground_terms(), postings)}
         found |= ctx.match_subjects(pattern)
-        materialize = mode != "delta"
         for entity in sorted(found):
-            queue.append((entity, materialize))
+            queue.append((entity, not delta))
 
     versions: dict[str, tuple[VersionedGraph, ...] | None] = {}
     snapshots_involved = 0
@@ -229,9 +235,7 @@ def explicate(
             graphs = frozenset(filter(reads, ctx.entity_quads(entity)))
             entity_versions = [VersionedGraph(entity, None, graphs, reconstructed=False)]
         else:
-            chosen = select(
-                history, interval, boundary=True, at=at if mode == "single" else None
-            )
+            chosen = select(history, interval, boundary=True, at=at)
             entity_versions = []
             if chosen:
                 entity_versions = rebuild(
@@ -241,18 +245,18 @@ def explicate(
                 snapshots_involved += len(history.snapshots) - chosen[0]
         versions[entity] = tuple(entity_versions)
         # versions with equal narrowed states bind the same IRIs
-        chased: set[GraphSet] = set()
+        seen: set[GraphSet] = set()
         for v in entity_versions:
-            state = frozenset(filter(reads_joined, v.graphs))
-            if not state or state in chased:
+            state = frozenset(filter(reads_chased, v.graphs))
+            if not state or state in seen:
                 continue
-            chased.add(state)
+            seen.add(state)
             index = TripleIndex(state)
-            for pattern in required_joined:
+            for pattern in chased:
                 for binding, _stamp in match_pattern(pattern, {}, index):
                     for var, term in binding.items():
                         if (
-                            var in plan.subject_variables
+                            var in subject_variables
                             and term.is_iri
                             and versions.get(term.value, None) is None
                         ):
@@ -265,42 +269,27 @@ def explicate(
     )
 
 
-class _StampedStates(Mapping[datetime, GraphSet]):
-    """Each key's merged state, read from the key stamps when asked for."""
-
-    def __init__(self, times: tuple[datetime, ...], stamps: Mapping[Quad, int]):
-        self._times = times
-        self._stamps = stamps
-
-    def __getitem__(self, t: datetime) -> GraphSet:
-        k = bisect_left(self._times, t)
-        if k == len(self._times) or self._times[k] != t:
-            raise KeyError(t)
-        return frozenset(q for q, stamp in self._stamps.items() if stamp >> k & 1)
-
-    def __iter__(self) -> Iterator[datetime]:
-        return iter(self._times)
-
-    def __len__(self) -> int:
-        return len(self._times)
-
-
 @dataclass(frozen=True)
 class Timeline:
     """Merged dataset states keyed by the snapshot times in the interval.
 
     `stamps` maps every quad some key holds to its key stamp: bit k is
     set when the state at times[k] holds the quad.  `datasets` maps each
-    time to that state; it is derived from the stamps on each read, one
-    pass over the stamped quads per key read.
+    time to that state, built on first read in one pass over the stamps.
     """
 
     times: tuple[datetime, ...]
     stamps: Mapping[Quad, int]
 
-    @property
-    def datasets(self) -> Mapping[datetime, GraphSet]:
-        return _StampedStates(self.times, self.stamps)
+    @cached_property
+    def datasets(self) -> dict[datetime, GraphSet]:
+        states: list[list[Quad]] = [[] for _ in self.times]
+        for q, stamp in self.stamps.items():
+            while stamp:
+                low = stamp & -stamp
+                states[low.bit_length() - 1].append(q)
+                stamp ^= low
+        return {t: frozenset(state) for t, state in zip(self.times, states)}
 
 
 def align_and_merge(
@@ -367,12 +356,11 @@ def execute_version_query(
     """
     parsed = parse_select(query) if isinstance(query, str) else query
     plan = classify(parsed)
-    mode = "single" if at is not None else "cross"
-    explication = explicate(plan, ctx, interval=interval, mode=mode, at=at)
+    explication = explicate(plan, ctx, interval=interval, at=at)
     versions = explication.versions
 
     results: dict[str, SolutionSet] = {}
-    if mode == "single":
+    if at is not None:
         merged: set = set()
         chosen_times = []
         for vs in versions.values():

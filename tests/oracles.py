@@ -206,6 +206,63 @@ def dataset_brute(entities: Mapping, when, restrict: Iterable[str] | None = None
     return frozenset(merged)
 
 
+def ledger_reads(query: ParsedQuery):
+    """Whether some pattern of the query could match a quad, each
+    variable matching any term, even one repeated in the pattern."""
+    shapes = [(p.subject, p.predicate, p.object) for p in query.patterns]
+
+    def reads(q) -> bool:
+        terms = (q.subject, q.predicate, q.object)
+        return any(
+            all(isinstance(pt, Variable) or pt == t for pt, t in zip(shape, terms))
+            for shape in shapes
+        )
+
+    return reads
+
+
+def answers_over_time(query: ParsedQuery, entities: Mapping, times) -> list[Counter]:
+    """brute_evaluate over the union of every entity's newest stored
+    version at or before each of the sorted `times`.
+
+    The same states as dataset_brute's, walked forward once and kept to
+    the quads some pattern could match (ledger_reads), which no answer
+    can do without; a state is evaluated again only when it changed.
+    """
+    if not times:
+        return []
+    reads = ledger_reads(query)
+    last = times[-1]
+    events = sorted(
+        (
+            (t, name, frozenset(filter(reads, version)))
+            for name, truth in entities.items()
+            for t, version in zip(truth.times, truth.versions)
+            if t <= last
+        ),
+        key=lambda event: event[:2],
+    )
+    live: dict[str, frozenset] = {}
+    held: Counter = Counter()
+    answers: list[Counter] = []
+    answer = None
+    k = 0
+    for when in times:
+        while k < len(events) and events[k][0] <= when:
+            _t, name, version = events[k]
+            old = live.get(name, frozenset())
+            if version != old:
+                held.subtract(old)
+                held.update(version)
+                live[name] = version
+                answer = None
+            k += 1
+        if answer is None:
+            answer = brute_evaluate(query, frozenset(q for q, n in held.items() if n > 0))
+        answers.append(answer)
+    return answers
+
+
 def _update_terms(text: str, entity: str) -> set[Term]:
     """Subjects, predicates and objects of the quads an update string
     parses to whose subject is the entity's IRI; none when it does not
@@ -255,8 +312,7 @@ def evaluate_every_key(query: ParsedQuery, ctx, interval=UNBOUNDED, at=None) -> 
     full, reads every key's full state from the timeline and evaluates
     it on its own, the way every key was evaluated before both.
     """
-    mode = "single" if at is not None else "cross"
-    explication = explicate(classify(query), ctx, interval=interval, mode=mode, at=at)
+    explication = explicate(classify(query), ctx, interval=interval, at=at)
     versions = {}
     for entity in explication.versions:
         history = ctx.history(entity)
@@ -266,7 +322,7 @@ def evaluate_every_key(query: ParsedQuery, ctx, interval=UNBOUNDED, at=None) -> 
         else:
             chosen = select(history, interval, boundary=True, at=at)
             versions[entity] = tuple(rebuild(entity, ctx.entity_quads(entity), history, chosen))
-    if mode == "single":
+    if at is not None:
         merged = set()
         times = []
         for vs in versions.values():

@@ -2,7 +2,7 @@
 
 Each entry lists which pattern indexes (in parse order) are joined and
 which are isolated; `unbounded` marks the query that must be refused
-because no isolated pattern carries a ground term.
+because an isolated pattern carries no ground term.
 """
 
 from __future__ import annotations

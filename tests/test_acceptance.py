@@ -42,6 +42,7 @@ from chrono_rdf import (
 )
 from chrono_rdf import version_query
 from chrono_rdf.benchgen import (
+    BASE_IRI,
     DATACITE_DOI,
     DATACITE_ISSN,
     DATACITE_ORCID,
@@ -103,7 +104,7 @@ def _version_query_corpus(small_world, big_world) -> list[tuple]:
             f"SELECT ?s ?v WHERE {{ ?s <{LITERAL_HAS_VALUE}> ?v ."
             f" ?s <{DATACITE_USES_SCHEME}> <{DATACITE_DOI}> }}",
             "SELECT ?br ?id WHERE {"
-            f" <{small_world.spec.base_iri}br/0> <http://purl.org/spar/cito/cites> ?br ."
+            f" <{BASE_IRI}br/0> <http://purl.org/spar/cito/cites> ?br ."
             " ?br <http://purl.org/spar/datacite/hasIdentifier> ?id }",
             f"SELECT DISTINCT ?s WHERE {{ ?s <{DATACITE_USES_SCHEME}> ?scheme ."
             f" ?s <{LITERAL_HAS_VALUE}> ?v ."
@@ -260,14 +261,14 @@ def test_criterion_6_delta_queries_match_the_diff_oracle(small_world, announce):
         scheme_query(DATACITE_DOI),
         scheme_query(DATACITE_ISSN),
         value_regex_query("\\.$"),
-        known_subject_query(f"{small_world.spec.base_iri}br/0"),
-        known_subject_query(f"{small_world.spec.base_iri}br/2"),
-        known_subject_query(f"{small_world.spec.base_iri}br/4"),
-        f"SELECT ?v WHERE {{ <{small_world.spec.base_iri}id/1>"
+        known_subject_query(f"{BASE_IRI}br/0"),
+        known_subject_query(f"{BASE_IRI}br/2"),
+        known_subject_query(f"{BASE_IRI}br/4"),
+        f"SELECT ?v WHERE {{ <{BASE_IRI}id/1>"
         f" <{LITERAL_HAS_VALUE}> ?v }}",
         f"SELECT ?s ?v WHERE {{ ?s <{LITERAL_HAS_VALUE}> ?v }} ",
         "SELECT ?t WHERE {"
-        f" <{small_world.spec.base_iri}br/0>"
+        f" <{BASE_IRI}br/0>"
         " <http://purl.org/dc/terms/title> ?t }",
     ]
     filters = [

@@ -43,7 +43,7 @@ from chrono_rdf.cli import main
 from chrono_rdf.materializer import delta_applications, rebuild, select
 from chrono_rdf.version_query import explicate
 
-from oracles import _match_term, oracle_select
+from oracles import ledger_reads, oracle_select
 from conftest import (
     BR,
     DOI_DATA,
@@ -387,7 +387,7 @@ class TestSelectionBoundaries:
             if at is None:
                 continue  # a single version needs an instant
             plan = classify(parse_select(f"SELECT ?p ?o WHERE {{ <{entity}> ?p ?o }}"))
-            explication = explicate(plan, ctx, mode="single", at=at)
+            explication = explicate(plan, ctx, at=at)
             got = [(v.time, v.graphs) for v in explication.versions[entity]]
             live = [(t, g) for t, g in zip(truth.times, truth.versions) if t <= at]
             assert got == live[-1:]
@@ -420,21 +420,6 @@ class TestSelectionBoundaries:
             got = [(v["time"], v["graph"]) for v in doc["versions"]]
             expected = _ledger_versions(truth, interval, boundary=True)
             assert got == [(format_timestamp(t), serialize(g)) for t, g in expected]
-
-
-def _ledger_reads(query):
-    """Whether some pattern of the query could match a quad, variables as
-    wildcards: each position is matched on its own, with a fresh binding."""
-    shapes = [(p.subject, p.predicate, p.object) for p in query.patterns]
-
-    def reads(q) -> bool:
-        terms = (q.subject, q.predicate, q.object)
-        return any(
-            all(_match_term(pt, t, {}) is not None for pt, t in zip(shape, terms))
-            for shape in shapes
-        )
-
-    return reads
 
 
 NARROWED_QUERIES = ("known-subject", "scheme", "value-regex", "seed ?p ?o")
@@ -470,15 +455,15 @@ class TestNarrowedExplication:
         }[which]
         query = parse_select(text)
         plan = classify(query)
-        reads = _ledger_reads(query)
+        reads = ledger_reads(query)
         times = world.ledger.entities[seed].times
         cases = [
-            ("cross", UNBOUNDED, None),
-            ("cross", TimeInterval(times[1], times[-2]), None),
-            ("single", UNBOUNDED, times[len(times) // 2]),
+            (UNBOUNDED, None),
+            (TimeInterval(times[1], times[-2]), None),
+            (UNBOUNDED, times[len(times) // 2]),
         ]
-        for mode, interval, at in cases:
-            got = explicate(plan, ctx, interval=interval, mode=mode, at=at)
+        for interval, at in cases:
+            got = explicate(plan, ctx, interval=interval, at=at)
             with monkeypatch.context() as patched:
                 # the walk as it was before it narrowed: full versions
                 patched.setattr(
@@ -486,7 +471,7 @@ class TestNarrowedExplication:
                     lambda entity, data, history, chosen, reads=None:
                         materializer.rebuild(entity, data, history, chosen),
                 )
-                full = explicate(plan, ctx, interval=interval, mode=mode, at=at)
+                full = explicate(plan, ctx, interval=interval, at=at)
             assert got.relevant == full.relevant
             assert got.snapshots_involved == full.snapshots_involved
             assert got.versions.keys() == full.versions.keys()
@@ -501,4 +486,4 @@ class TestNarrowedExplication:
                 if chosen:
                     walked += len(truth.times) - chosen[0]
             assert got.snapshots_involved == walked
-            assert got.versions, (which, mode)
+            assert got.versions, (which, interval, at)

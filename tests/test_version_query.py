@@ -52,6 +52,7 @@ from chrono_rdf import (
 )
 from chrono_rdf import version_query
 from chrono_rdf.benchgen import (
+    BASE_IRI,
     CITO_CITES,
     DATACITE_HAS_IDENTIFIER,
     DATACITE_ORCID,
@@ -567,7 +568,7 @@ def _corpus_in(world: GeneratedWorld) -> tuple[str, dict[str, str]]:
         text = case.text
         for old, new in spelling.items():
             text = text.replace(old, new)
-        assert ".example/" not in text.replace(world.spec.base_iri, ""), text
+        assert ".example/" not in text.replace(BASE_IRI, ""), text
         texts[case.name] = text
     texts["repeated-variable"] = f"SELECT ?x WHERE {{ ?x <{CITO_CITES}> ?x }}"
     texts["ground-object"] = f"SELECT ?s ?p WHERE {{ ?s ?p <{cited}> }}"
