@@ -21,7 +21,7 @@ from datetime import datetime, timezone
 from typing import Callable, Iterable, Sequence
 
 from .errors import BadDelta, BrokenChain, NoHistory, NoSuchSnapshot
-from .rdf_model import GraphSet, Quad, Term, escape_iri, quad_line
+from .rdf_model import GraphSet, Quad, Term, TermTable, escape_iri, quad_line
 
 PROV = "http://www.w3.org/ns/prov#"
 PROV_ENTITY = PROV + "Entity"
@@ -227,16 +227,18 @@ def scope_delta(delta: Delta, entity: str) -> Delta:
     return Delta(deletes, inserts, delta.source_text)
 
 
-def parse_delta(snapshot_id: str, text: str) -> Delta:
+def parse_delta(snapshot_id: str, text: str, terms: TermTable | None = None) -> Delta:
     """Parse the update string stored on one snapshot.
 
-    Blank node labels are scoped to the snapshot.  Raises BadDelta when
+    Blank node labels are scoped to the snapshot.  terms, when given, is
+    the term table parse_update reads and fills, so the updates of one
+    context share one object per IRI and literal.  Raises BadDelta when
     the text does not parse as a ground update.
     """
     from .sparql_engine import parse_update
 
     try:
-        return parse_update(text, blank_scope=_scope_label(snapshot_id))
+        return parse_update(text, blank_scope=_scope_label(snapshot_id), terms=terms)
     except Exception as exc:  # stored text is outside input: any failure is BadDelta
         raise BadDelta(snapshot_id, exc)
 

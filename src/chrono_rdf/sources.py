@@ -32,7 +32,7 @@ from .provenance import (
     parse_delta,
     scope_delta,
 )
-from .rdf_model import GraphSet, Quad, Term, Triple, parse_document
+from .rdf_model import GraphSet, Quad, Term, TermTable, Triple, parse_document
 from .sparql_engine import (
     Binding,
     ParsedQuery,
@@ -243,9 +243,8 @@ def _pattern_text(pattern: TriplePattern) -> tuple[str, str]:
             return f"?{term.name}"
         return term.n3()
 
-    subject = "?s" if isinstance(pattern.subject, Variable) else part(pattern.subject)
     name = pattern.subject.name if isinstance(pattern.subject, Variable) else "s"
-    return f"{subject} {part(pattern.predicate)} {part(pattern.object)}", name
+    return f"{part(pattern.subject)} {part(pattern.predicate)} {part(pattern.object)}", name
 
 
 ENTITY_FETCH_TEMPLATE = (
@@ -375,6 +374,7 @@ class Context:
         self._histories: dict[str, EntityHistory | None] = {}
         self._records: tuple[DeltaRecord, ...] | None = None
         self._deltas: dict[str, Delta] = {}
+        self._terms: TermTable = {}
         self._postings: dict[Term, frozenset[tuple[str, str]]] = {}
         self._local_index: TripleIndex | None = None
 
@@ -457,12 +457,15 @@ class Context:
     def _delta(self, snapshot: str, text: str) -> Delta:
         """The parsed update of one snapshot, parsed once per context.
 
-        The term index and load_history both narrow it to the snapshot's
-        entity (scope_delta), which keeps this object when nothing is dropped.
+        Every update of the context is parsed with the context's one term
+        table, so an IRI or literal that many updates name is validated
+        and built once and is one object in all of them.  The term index
+        and load_history both narrow the delta to the snapshot's entity
+        (scope_delta), which keeps this object when nothing is dropped.
         """
         delta = self._deltas.get(snapshot)
         if delta is None or delta.source_text != text:
-            delta = parse_delta(snapshot, text)
+            delta = parse_delta(snapshot, text, self._terms)
             self._deltas[snapshot] = delta
         return delta
 

@@ -36,8 +36,10 @@ from .provenance import Delta
 from .rdf_model import (
     RDF_TYPE,
     XSD_BOOLEAN,
+    XSD_STRING,
     Quad,
     Term,
+    TermTable,
     Triple,
     Scanner,
     read_number,
@@ -718,7 +720,9 @@ def evaluate(
     return answers[0] if keys is None else answers
 
 
-def parse_update(text: str, blank_scope: str | None = None) -> Delta:
+def parse_update(
+    text: str, blank_scope: str | None = None, terms: TermTable | None = None
+) -> Delta:
     """Parse a ground update string into a delta.
 
     Only DELETE DATA and INSERT DATA blocks are accepted, separated by
@@ -728,10 +732,35 @@ def parse_update(text: str, blank_scope: str | None = None) -> Delta:
     update strings must stay self-contained.  blank_scope, when given,
     prefixes blank node labels so that labels from different snapshots
     never collide.
+
+    terms is the table of IRIs and literals already read (see
+    TermTable); `a` reads the entry of rdf:type, and a graph name is the
+    value string of its IRI's entry.  A token found there is neither
+    validated nor built again, and each one read for the first time is
+    added, so updates parsed with one table share one object per term.
+    Only validated terms enter the table, so a failed parse leaves it
+    usable.  Blank nodes are never entered.  Without a table, terms are
+    shared within this update only.
     """
     sc = Scanner(text)
     deletes: list[Quad] = []
     inserts: list[Quad] = []
+    if terms is None:
+        terms = {}
+
+    def iri_term(value: str, relative: str = "relative IRI {!r} in update text") -> Term:
+        term = terms.get(value)
+        if term is None:
+            if not is_absolute_iri(value):
+                raise sc.error(relative.format(value))
+            term = terms[value] = Term("iri", value)
+        return term
+
+    def literal_term(key: tuple[str, str | None, str | None]) -> Term:
+        term = terms.get(key)
+        if term is None:
+            term = terms[key] = Term("literal", *key)
+        return term
 
     def read_term(position: str) -> Term:
         sc.skip_space()
@@ -740,10 +769,7 @@ def parse_update(text: str, blank_scope: str | None = None) -> Delta:
         if ch and ch in "?$":
             raise VariableInDelta(f"variable in update text at offset {pos}")
         if ch == "<":
-            value = sc.read_iriref()
-            if not is_absolute_iri(value):
-                raise sc.error(f"relative IRI {value!r} in update text")
-            return Term("iri", value)
+            return iri_term(sc.read_iriref())
         if ch == "_" and sc.peek(1) == ":":
             label = sc.read_blank_label()
             if blank_scope:
@@ -754,7 +780,7 @@ def parse_update(text: str, blank_scope: str | None = None) -> Delta:
                 raise sc.error(f"literal in {position} position")
             value = sc.read_string()
             if sc.peek() == "@":
-                return Term("literal", value, language=sc.read_langtag())
+                return literal_term((value, None, sc.read_langtag()))
             if sc.peek() == "^" and sc.peek(1) == "^":
                 sc.pos += 2
                 sc.skip_space()
@@ -763,20 +789,19 @@ def parse_update(text: str, blank_scope: str | None = None) -> Delta:
                     if ":" in word:
                         raise PrefixInDelta(f"prefixed datatype {word!r} in update text")
                     raise sc.error("expected a datatype IRI")
-                dt = sc.read_iriref()
-                if not is_absolute_iri(dt):
-                    raise sc.error(f"relative datatype IRI {dt!r}")
-                return Term("literal", value, datatype=dt)
-            return Term("literal", value)
+                dt = iri_term(sc.read_iriref(), "relative datatype IRI {!r}").value
+                return literal_term((value, dt, None))
+            return literal_term((value, XSD_STRING, None))
         if ch.isdigit() or (ch in "+-" and sc.peek(1).isdigit()):
             if position != "object":
                 raise sc.error(f"numeric literal in {position} position")
-            return read_number(sc)
+            number = read_number(sc)
+            return terms.setdefault((number.value, number.datatype, None), number)
         word = sc.read_word()
         if word == "a" and position == "predicate":
-            return Term("iri", RDF_TYPE)
+            return iri_term(RDF_TYPE)
         if word in ("true", "false") and position == "object":
-            return Term("literal", word, datatype=XSD_BOOLEAN)
+            return literal_term((word, XSD_BOOLEAN, None))
         if ":" in word:
             raise PrefixInDelta(f"prefixed name {word!r} in update text")
         raise sc.error(
@@ -804,9 +829,7 @@ def parse_update(text: str, blank_scope: str | None = None) -> Delta:
                         if ":" in inner:
                             raise PrefixInDelta(f"prefixed graph name {inner!r}")
                         raise sc.error("expected a graph IRI")
-                    g = sc.read_iriref()
-                    if not is_absolute_iri(g):
-                        raise sc.error(f"relative graph IRI {g!r}")
+                    g = iri_term(sc.read_iriref(), "relative graph IRI {!r}").value
                     sc.skip_space()
                     sc.expect("{")
                     read_triples(target, g, "}")

@@ -2,6 +2,12 @@
 
 from __future__ import annotations
 
+import os
+import pickle
+import subprocess
+import sys
+from pathlib import Path
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -22,6 +28,10 @@ from chrono_rdf import (
     quad,
     serialize,
 )
+
+import chrono_rdf
+from chrono_rdf.sources import DataEndpoint
+from chrono_rdf.sparql_engine import parse_update
 
 from conftest import DOI_DATA, DOI_DATA_TURTLE
 
@@ -277,3 +287,148 @@ class TestParseDocument:
     def test_unknown_format(self):
         with pytest.raises(ValueError):
             parse_document("", "rdfxml")
+
+
+class TestQuadHash:
+    """A quad stores its hash; it must still follow equality."""
+
+    S, C, G = "http://x.example/s", "http://x.example/C", "http://x.example/g"
+    P, N, L = "http://x.example/p", "http://x.example/n", "http://x.example/l"
+    RDF_TYPE = "http://www.w3.org/1999/02/22-rdf-syntax-ns#type"
+    XSD_INTEGER = "http://www.w3.org/2001/XMLSchema#integer"
+
+    def reference(self, graph):
+        s = iri(self.S)
+        return frozenset({
+            quad(s, iri(self.RDF_TYPE), iri(self.C), graph),
+            quad(s, iri(self.P), literal("x"), graph),
+            quad(s, iri(self.P), literal("\u00e9t\u00e9"), graph),
+            quad(s, iri(self.N), literal("42", self.XSD_INTEGER), graph),
+            quad(s, iri(self.L), Term("literal", "ciao", language="it"), graph),
+        })
+
+    def nquads(self):
+        g = f"<{self.G}>"
+        return parse_nquads(
+            f"<{self.S}> <{self.RDF_TYPE}> <{self.C}> {g} .\n"
+            f'<{self.S}> <{self.P}> "x" {g} .\n'
+            f'<{self.S}> <{self.P}> "\\u00E9t\\u00e9"^^<{XSD_STRING}> {g} .\n'
+            f'<{self.S}> <{self.N}> "42"^^<{self.XSD_INTEGER}> {g} .\n'
+            f'<{self.S}> <{self.L}> "ciao"@it {g} .\n'
+        )
+
+    def turtle(self):
+        return parse_turtle(
+            "@prefix x: <http://x.example/> .\n"
+            "x:s a x:C ; x:p 'x', \"\u00e9t\u00e9\" ; x:n 42 ; x:l 'ciao'@it .\n"
+        )
+
+    def update(self, terms=None):
+        text = (
+            f"INSERT DATA {{ GRAPH <{self.G}> {{ <{self.S}> a <{self.C}> ."
+            f" <{self.S}> <{self.P}> 'x' . <{self.S}> <{self.P}> '\\u00e9t\\u00E9' ."
+            f" <{self.S}> <{self.N}> 42 . <{self.S}> <{self.L}> \"ciao\"@it }} }}"
+        )
+        return frozenset(parse_update(text, terms=terms).inserts)
+
+    def endpoint_rows(self):
+        rows = [
+            {"p": {"type": "uri", "value": self.RDF_TYPE}, "o": {"type": "uri", "value": self.C}},
+            {"p": {"type": "uri", "value": self.P}, "o": {"type": "literal", "value": "x"}},
+            {"p": {"type": "uri", "value": self.P},
+             "o": {"type": "literal", "value": "\u00e9t\u00e9", "datatype": XSD_STRING}},
+            {"p": {"type": "uri", "value": self.N},
+             "o": {"type": "typed-literal", "value": "42", "datatype": self.XSD_INTEGER}},
+            {"p": {"type": "uri", "value": self.L},
+             "o": {"type": "literal", "value": "ciao", "xml:lang": "it"}},
+        ]
+
+        class Answered:
+            status_code = 200
+
+            def json(self):
+                return {"results": {"bindings": [
+                    {**row, "g": {"type": "uri", "value": TestQuadHash.G}} for row in rows
+                ]}}
+
+        endpoint = DataEndpoint("http://endpoint.example/sparql", 1.0, None)
+        endpoint._post = lambda query_text: Answered()
+        return endpoint.entity_quads(self.S)
+
+    def test_every_path_builds_equal_quads_with_equal_hashes(self):
+        built = {
+            "nquads": (self.nquads(), self.G),
+            "turtle": (self.turtle(), None),
+            "update": (self.update(), self.G),
+            "update with a table": (self.update({}), self.G),
+            "endpoint": (self.endpoint_rows(), self.G),
+        }
+        for path, (quads, graph) in built.items():
+            reference = {q: q for q in self.reference(graph)}
+            assert set(quads) == set(reference), path
+            for q in quads:
+                assert q == reference[q] and hash(q) == hash(reference[q]), path
+
+    def test_repr_and_equality_ignore_the_stored_hash(self):
+        q = quad(iri(self.S), iri(self.P), literal("x"), self.G)
+        assert "_hash" not in repr(q)
+        assert repr(q) == f"Quad(triple={q.triple!r}, graph={q.graph!r})"
+        other = quad(iri(self.S), iri(self.P), literal("x"), self.G)
+        object.__setattr__(other, "_hash", hash(q) + 1)
+        assert q == other
+
+    def test_pickled_quad_is_found_under_another_hash_seed(self, tmp_path):
+        text = serialize(_sample_quads())
+        path = tmp_path / "quads.pickle"
+        dump = (
+            "import pickle, sys\n"
+            "from chrono_rdf import parse_nquads\n"
+            "quads = sorted(parse_nquads(sys.argv[2]), key=repr)\n"
+            "open(sys.argv[1], 'wb').write(pickle.dumps((quads, [hash(q) for q in quads])))\n"
+        )
+        load = (
+            "import pickle, sys\n"
+            "from chrono_rdf import parse_nquads\n"
+            "quads, hashes = pickle.loads(open(sys.argv[1], 'rb').read())\n"
+            "fresh = set(parse_nquads(sys.argv[2]))\n"
+            "assert [hash(q) for q in quads] != hashes, 'the hash seed did not change'\n"
+            "assert all(q in fresh for q in quads), 'a loaded quad is not found'\n"
+            "assert set(quads) == fresh\n"
+        )
+        src = str(Path(chrono_rdf.__file__).resolve().parents[1])
+        for seed, script in (("1", dump), ("2", load)):
+            env = {**os.environ, "PYTHONPATH": src, "PYTHONHASHSEED": seed}
+            done = subprocess.run(
+                [sys.executable, "-c", script, str(path), text],
+                env=env, capture_output=True, text=True,
+            )
+            assert done.returncode == 0, done.stderr
+
+
+def _rebuilt(q: Quad) -> Quad:
+    """An equal quad that shares no term object with q."""
+
+    def fresh(t: Term) -> Term:
+        return Term(t.kind, t.value, t.datatype, t.language)
+
+    return quad(fresh(q.subject), fresh(q.predicate), fresh(q.object), q.graph)
+
+
+def _fields(q: Quad) -> tuple:
+    return (q.subject, q.predicate, q.object, q.graph)
+
+
+@given(st.lists(_quads, max_size=12), st.lists(_quads, max_size=12), st.data())
+@settings(max_examples=100, deadline=None)
+def test_quad_hash_follows_equality(xs, ys, data):
+    if xs:
+        # equal copies of some drawn quads, so that equal pairs are common
+        ys = ys + [_rebuilt(q) for q in data.draw(st.lists(st.sampled_from(xs), max_size=12))]
+    for a in xs:
+        for b in ys:
+            if a == b:
+                assert hash(a) == hash(b)
+    fx, fy = {_fields(q) for q in xs}, {_fields(q) for q in ys}
+    assert {_fields(q) for q in set(xs) - set(ys)} == fx - fy
+    assert {_fields(q) for q in set(xs) | set(ys)} == fx | fy
+    assert {_fields(q) for q in set(xs) & set(ys)} == fx & fy

@@ -12,9 +12,12 @@ import pytest
 
 from conftest import (
     BR,
+    CITED,
     CITES,
+    CREATED_AT,
     DOI_DATA_TURTLE,
     DOI_UPDATE,
+    FIXED_AT,
     HAS_VALUE,
     ID,
     ID_GRAPH,
@@ -22,6 +25,7 @@ from conftest import (
     TITLE,
     USES_SCHEME,
     WRONG_DOI,
+    XSD_DATETIME,
 )
 from sparql_server import SparqlServer
 
@@ -42,7 +46,12 @@ from chrono_rdf import (
 )
 import chrono_rdf
 from chrono_rdf import sparql_engine
-from chrono_rdf.provenance import OCO_HAS_UPDATE_QUERY
+from chrono_rdf.provenance import (
+    GENERATED_AT_TIME,
+    OCO_HAS_UPDATE_QUERY,
+    SPECIALIZATION_OF,
+    WAS_DERIVED_FROM,
+)
 from chrono_rdf.sources import FileProvenanceSource, FileSource
 
 
@@ -236,6 +245,95 @@ class TestContext:
             ctx.history(ID)
 
 
+def _one_update(entity: str, text: str) -> frozenset:
+    """Provenance of an entity created once and changed by one stored update."""
+    first, second = entity + "/prov/se/1", entity + "/prov/se/2"
+    return frozenset({
+        quad(iri(first), iri(SPECIALIZATION_OF), iri(entity)),
+        quad(iri(first), iri(GENERATED_AT_TIME), literal(CREATED_AT, XSD_DATETIME)),
+        quad(iri(second), iri(SPECIALIZATION_OF), iri(entity)),
+        quad(iri(second), iri(GENERATED_AT_TIME), literal(FIXED_AT, XSD_DATETIME)),
+        quad(iri(second), iri(WAS_DERIVED_FROM), iri(first)),
+        quad(iri(second), iri(OCO_HAS_UPDATE_QUERY), literal(text)),
+    })
+
+
+class TestTermTable:
+    """Each context parses its stored updates with one table of terms."""
+
+    A, B = CITED[:2]
+
+    def update(self, entity: str) -> str:
+        return (
+            f"INSERT DATA {{ GRAPH <{ID_GRAPH}> {{ <{entity}> <{CITES}> <{BR}> ."
+            f' <{entity}> <{TITLE}> "shared title" . <{entity}> <{HAS_VALUE}> _:b . }} }}'
+        )
+
+    def inserted(self, ctx: Context, entity: str) -> dict:
+        """The entity's inserted quads by predicate IRI."""
+        update = ctx.history(entity).snapshots[1].update
+        return {q.predicate.value: q for q in update.inserts}
+
+    def context(self, *provenance) -> Context:
+        return memory_context(frozenset(), frozenset().union(*provenance))
+
+    def test_updates_of_one_context_share_each_term(self):
+        ctx = self.context(
+            _one_update(self.A, self.update(self.A)), _one_update(self.B, self.update(self.B))
+        )
+        a, b = self.inserted(ctx, self.A), self.inserted(ctx, self.B)
+        assert a[CITES].predicate is b[CITES].predicate
+        assert a[CITES].object is b[CITES].object
+        assert a[TITLE].object is b[TITLE].object
+        assert a[TITLE].object == literal("shared title")
+        assert a[CITES].graph is b[CITES].graph == ID_GRAPH
+
+    def test_contexts_share_no_term(self):
+        provenance = (
+            _one_update(self.A, self.update(self.A)), _one_update(self.B, self.update(self.B))
+        )
+        first, second = self.context(*provenance), self.context(*provenance)
+
+        def term_ids(ctx: Context) -> set[int]:
+            return {
+                id(term)
+                for entity in (self.A, self.B)
+                for q in self.inserted(ctx, entity).values()
+                for term in (q.subject, q.predicate, q.object)
+            }
+
+        assert self.inserted(first, self.A) == self.inserted(second, self.A)
+        assert term_ids(first).isdisjoint(term_ids(second))
+
+    def test_a_failed_update_leaves_the_table_usable(self):
+        def relative_iri(entity: str) -> str:
+            return f"INSERT DATA {{ <{entity}> <{CITES}> <br/1> . }}"
+
+        def relative_datatype(entity: str) -> str:
+            return f'INSERT DATA {{ <{entity}> <{TITLE}> "t"^^<dt> . }}'
+
+        # each failing token twice: one that failed validation is not kept
+        failing = [(e, relative_iri if n % 2 else relative_datatype)
+                   for n, e in enumerate(CITED[1:])]
+        ctx = self.context(
+            *(_one_update(e, text(e)) for e, text in failing),
+            _one_update(self.A, self.update(self.A)),
+        )
+        for entity, _ in failing:
+            with pytest.raises(BadDelta):
+                ctx.history(entity)
+        assert self.inserted(ctx, self.A)[CITES] == quad(iri(self.A), iri(CITES), iri(BR), ID_GRAPH)
+
+    def test_blank_labels_of_two_snapshots_stay_distinct(self):
+        ctx = self.context(
+            _one_update(self.A, self.update(self.A)), _one_update(self.B, self.update(self.B))
+        )
+        a = self.inserted(ctx, self.A)[HAS_VALUE].object
+        b = self.inserted(ctx, self.B)[HAS_VALUE].object
+        assert a.is_blank and b.is_blank
+        assert a != b
+
+
 class TestLoadSources:
     def test_files(self, doi_files):
         data_path, prov_path = doi_files
@@ -310,14 +408,18 @@ class TestEndpointContext:
         local_outcome = execute_version_query(query, local)
         assert remote_outcome.results == local_outcome.results
 
+    @pytest.mark.parametrize("query", [
+        f"SELECT ?s WHERE {{ ?s <{USES_SCHEME}> <http://purl.org/spar/datacite/doi> }}",
+        f"SELECT ?x WHERE {{ ?x <{USES_SCHEME}> <http://purl.org/spar/datacite/doi> }}",
+        # the object variable is named s, the subject variable is not
+        f"SELECT ?x ?s WHERE {{ ?x <{HAS_VALUE}> ?s }}",
+    ])
     def test_isolated_query_discovers_remotely(
-        self, endpoint_ctx, doi_data, doi_provenance
+        self, endpoint_ctx, doi_data, doi_provenance, query
     ):
         local = memory_context(doi_data, doi_provenance)
-        query = (
-            f"SELECT ?s WHERE {{ ?s <{USES_SCHEME}>"
-            " <http://purl.org/spar/datacite/doi> }"
-        )
+        pattern = parse_select(query).patterns[0]
+        assert endpoint_ctx.match_subjects(pattern) == local.match_subjects(pattern) == {ID}
         remote_outcome = execute_version_query(query, endpoint_ctx)
         local_outcome = execute_version_query(query, local)
         assert remote_outcome.results == local_outcome.results
