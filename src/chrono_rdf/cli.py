@@ -194,7 +194,7 @@ def _cmd_delta(args: argparse.Namespace) -> int:
                 for r in outcome.report
             ],
             "relevant_entities": sorted(outcome.relevant_entities),
-            "entities_involved": outcome.entities_involved,
+            "entities_involved": len(outcome.relevant_entities),
         }
     )
     return 0

@@ -97,7 +97,6 @@ def get_delta(
 class DeltaQueryOutcome:
     report: ChangeReport
     relevant_entities: frozenset[str]
-    entities_involved: int
 
 
 def execute_delta_query(
@@ -107,8 +106,7 @@ def execute_delta_query(
     interval: TimeInterval = UNBOUNDED,
 ) -> DeltaQueryOutcome:
     parsed = parse_select(query) if isinstance(query, str) else query
-    plan = classify(parsed)
-    explication = explicate(plan, ctx, interval=interval, delta=True)
+    explication = explicate(classify(parsed), ctx, interval=interval, delta=True)
     wanted = frozenset(properties)
 
     records: list[ChangeRecord] = []
@@ -150,5 +148,4 @@ def execute_delta_query(
     return DeltaQueryOutcome(
         report=ChangeReport(records=tuple(records)),
         relevant_entities=explication.relevant,
-        entities_involved=len(explication.relevant),
     )

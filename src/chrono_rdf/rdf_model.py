@@ -16,6 +16,10 @@ more memory than it saves time (about 5.5 MB more program peak RSS on
 the benchmark's ready context), and most of their hashing came from
 re-hashing quads.
 
+Every reader interns its terms through a TermTable (intern_term): a
+term is built, and so checked, only the first time its token is read,
+and the reader turns the Term's ValueError into a ParseError there.
+
 Serialisation is canonical N-Quads: one statement per line, lines sorted
 bytewise, UTF-8 with a trailing newline on every line.  Two equal graph
 sets therefore serialise to identical bytes, which the command line
@@ -179,12 +183,27 @@ class Quad:
 
 
 GraphSet = frozenset[Quad]
+EMPTY_GRAPH: GraphSet = frozenset()
 
 # Terms already read, keyed by token: an IRI string to its Term, and
-# (lexical form, datatype, language) to a literal Term.
-TermTable = dict[str | tuple[str, str | None, str | None], Term]
+# (lexical form, datatype, language) to a literal Term, where a plain
+# literal's datatype is XSD_STRING.  The keyword `a` reads the entry of
+# RDF_TYPE, and a graph name is the value of its IRI's entry.
+TermKey = str | tuple[str, str | None, str | None]
+TermTable = dict[TermKey, Term]
 
-EMPTY_GRAPH: GraphSet = frozenset()
+
+def intern_term(terms: TermTable, key: TermKey) -> Term:
+    """The term of key in terms, built and entered on a miss.
+
+    A hot reader writes `terms.get(key) or intern_term(terms, key)`, so a
+    hit costs one dict lookup.  A malformed token raises ValueError from
+    the Term's constructor, its one check, and is not entered.
+    """
+    term = terms.get(key)
+    if term is None:
+        term = terms[key] = Term("iri", key) if isinstance(key, str) else Term("literal", *key)
+    return term
 
 
 def quad(s: Term, p: Term, o: Term, graph: str | None = None) -> Quad:
@@ -410,19 +429,21 @@ class Scanner:
         return m.group()
 
 
-def _finish_literal(sc: Scanner, value: str, resolve_dt) -> Term:
-    if sc.peek() == "@":
-        return Term("literal", value, language=sc.read_langtag())
-    if sc.peek() == "^" and sc.peek(1) == "^":
-        sc.pos += 2
-        return Term("literal", value, datatype=resolve_dt())
-    return Term("literal", value)
+def read_iri_term(sc: Scanner, terms: TermTable, relative: str) -> Term:
+    """The interned term of the <IRI> at sc; relative is the message,
+    formatted with the IRI, of the error just past a relative one."""
+    value = sc.read_iriref()
+    try:
+        return terms.get(value) or intern_term(terms, value)
+    except ValueError:
+        raise sc.error(relative.format(value)) from None
 
 
 _NUMBER = re.compile(r"[+-]?(\d+\.\d*|\.\d+|\d+)([eE][+-]?\d+)?")
 
 
-def read_number(sc: Scanner) -> Term:
+def read_number(sc: Scanner) -> tuple[str, str, None]:
+    """Read a numeric literal at sc and return its TermTable key."""
     m = _NUMBER.match(sc.text, sc.pos)
     if not m:
         raise sc.error("malformed numeric literal")
@@ -434,7 +455,7 @@ def read_number(sc: Scanner) -> Term:
         dt = XSD_DECIMAL
     else:
         dt = XSD_INTEGER
-    return Term("literal", lexical, datatype=dt)
+    return lexical, dt, None
 
 
 def parse_nquads(text: str) -> GraphSet:
@@ -442,47 +463,33 @@ def parse_nquads(text: str) -> GraphSet:
 
     Prefixed names are not part of N-Quads and raise ParseError.  Graph
     labels must be IRIs because the quad model has no blank graph names.
-    Terms are interned per document: each distinct IRI or literal
-    becomes one Term object and each graph name one string, however
-    often it occurs.
+    Terms are interned per document through one TermTable: each distinct
+    IRI or literal is one Term, checked once, and each datatype and graph
+    name the value of its IRI's Term, however often it occurs.
     """
     sc = Scanner(text)
     quads: set[Quad] = set()
-    iris: dict[str, Term] = {}
-    literals: dict[tuple[str, str | None, str | None], Term] = {}
-    graphs: dict[str, str] = {}
-
-    def read_iri_term() -> Term:
-        value = sc.read_iriref()
-        term = iris.get(value)
-        if term is None:
-            if not is_absolute_iri(value):
-                raise sc.error(f"relative IRI {value!r} in N-Quads")
-            term = iris[value] = Term("iri", value)
-        return term
+    terms: TermTable = {}
 
     def read_literal() -> Term:
         value = sc.read_string()
-        datatype = language = None
+        datatype, language = XSD_STRING, None
         if sc.peek() == "@":
-            language = sc.read_langtag()
+            datatype, language = None, sc.read_langtag()
         elif sc.peek() == "^" and sc.peek(1) == "^":
             sc.pos += 2
             if sc.peek() != "<":
                 raise sc.error("datatype must be a full IRI in N-Quads")
-            datatype = read_iri_term().value
+            datatype = read_iri_term(sc, terms, "relative IRI {!r} in N-Quads").value
         key = (value, datatype, language)
-        term = literals.get(key)
-        if term is None:
-            term = literals[key] = Term("literal", value, datatype, language)
-        return term
+        return terms.get(key) or intern_term(terms, key)
 
     def read_term(position: str) -> Term:
         ch = sc.peek()
         if not ch:
             raise sc.error(f"statement ends before its {position}")
         if ch == "<":
-            return read_iri_term()
+            return read_iri_term(sc, terms, "relative IRI {!r} in N-Quads")
         if ch == "_":
             return Term("blank", sc.read_blank_label())
         if ch in "\"'" and position == "object":
@@ -503,12 +510,7 @@ def parse_nquads(text: str) -> GraphSet:
         sc.skip_space()
         graph: str | None = None
         if sc.peek() == "<":
-            graph = sc.read_iriref()
-            if graph not in graphs:
-                if not is_absolute_iri(graph):
-                    raise sc.error(f"relative graph IRI {graph!r}")
-                graphs[graph] = graph
-            graph = graphs[graph]
+            graph = read_iri_term(sc, terms, "relative graph IRI {!r}").value
             sc.skip_space()
         elif sc.peek() == "_":
             raise sc.error("blank node graph labels are not supported")
@@ -524,10 +526,12 @@ def parse_turtle(text: str, base: str | None = None) -> GraphSet:
     language-tagged literals in any quote form, numbers, booleans, and
     labelled blank nodes.  Collections, blank node property lists, and
     quoted triples are rejected.  All triples land in the default graph.
+    Terms are interned per document through one TermTable.
     """
     sc = Scanner(text)
     prefixes: dict[str, str] = {}
     quads: set[Quad] = set()
+    terms: TermTable = {}
 
     def resolve(raw: str, pos: int) -> str:
         if is_absolute_iri(raw):
@@ -548,16 +552,16 @@ def parse_turtle(text: str, base: str | None = None) -> GraphSet:
             raise UnknownPrefix(prefix, line, column)
         return prefixes[prefix] + local
 
-    def read_iri_term() -> Term:
+    def read_iri() -> Term:
         pos = sc.pos
         if sc.peek() == "<":
             if sc.peek(1) == "<":
                 raise sc.error("quoted triples are not supported")
-            return Term("iri", resolve(sc.read_iriref(), pos))
+            return intern_term(terms, resolve(sc.read_iriref(), pos))
         word = sc.read_word()
         if not word or ":" not in word:
             raise sc.error(f"expected an IRI, found {word!r}" if word else "expected an IRI")
-        return Term("iri", expand_pname(word, pos))
+        return intern_term(terms, expand_pname(word, pos))
 
     def read_subject() -> Term:
         ch = sc.peek()
@@ -567,32 +571,38 @@ def parse_turtle(text: str, base: str | None = None) -> GraphSet:
             raise sc.error("collections are not supported")
         if ch == "_":
             return Term("blank", sc.read_blank_label())
-        return read_iri_term()
+        return read_iri()
 
     def read_predicate() -> Term:
         pos = sc.pos
         if sc.peek() == "<":
-            return Term("iri", resolve(sc.read_iriref(), pos))
+            return intern_term(terms, resolve(sc.read_iriref(), pos))
         word = sc.read_word()
         if word == "a":
-            return Term("iri", RDF_TYPE)
+            return intern_term(terms, RDF_TYPE)
         if ":" not in word:
             raise sc.error(f"expected a predicate, found {word!r}")
-        return Term("iri", expand_pname(word, pos))
+        return intern_term(terms, expand_pname(word, pos))
+
+    def read_datatype() -> str:
+        pos = sc.pos
+        if sc.peek() == "<":
+            return resolve(sc.read_iriref(), pos)
+        word = sc.read_word()
+        if ":" not in word:
+            raise sc.error("expected a datatype IRI")
+        return expand_pname(word, pos)
 
     def read_object() -> Term:
         ch = sc.peek()
         if ch and ch in "\"'":
             value = sc.read_string()
-            def resolve_dt() -> str:
-                pos = sc.pos
-                if sc.peek() == "<":
-                    return resolve(sc.read_iriref(), pos)
-                word = sc.read_word()
-                if ":" not in word:
-                    raise sc.error("expected a datatype IRI")
-                return expand_pname(word, pos)
-            return _finish_literal(sc, value, resolve_dt)
+            if sc.peek() == "@":
+                return intern_term(terms, (value, None, sc.read_langtag()))
+            if sc.peek() == "^" and sc.peek(1) == "^":
+                sc.pos += 2
+                return intern_term(terms, (value, read_datatype(), None))
+            return intern_term(terms, (value, XSD_STRING, None))
         if ch == "_":
             return Term("blank", sc.read_blank_label())
         if ch == "[":
@@ -600,18 +610,18 @@ def parse_turtle(text: str, base: str | None = None) -> GraphSet:
         if ch == "(":
             raise sc.error("collections are not supported")
         if ch.isdigit() or (ch in "+-." and sc.peek(1).isdigit()):
-            return read_number(sc)
+            return intern_term(terms, read_number(sc))
         pos = sc.pos
         if sc.peek() == "<":
             if sc.peek(1) == "<":
                 raise sc.error("quoted triples are not supported")
-            return Term("iri", resolve(sc.read_iriref(), pos))
+            return intern_term(terms, resolve(sc.read_iriref(), pos))
         word = sc.read_word()
         if word in ("true", "false"):
-            return Term("literal", word, datatype=XSD_BOOLEAN)
+            return intern_term(terms, (word, XSD_BOOLEAN, None))
         if ":" not in word:
             raise sc.error(f"expected an object term, found {word!r}" if word else "expected an object term")
-        return Term("iri", expand_pname(word, pos))
+        return intern_term(terms, expand_pname(word, pos))
 
     def read_directive_at() -> None:
         sc.expect("@")

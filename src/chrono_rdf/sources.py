@@ -2,7 +2,8 @@
 
 A source is either a local file (N-Quads or Turtle, by extension) or a
 SPARQL endpoint (http or https URL).  Data sources hold the live state;
-provenance sources hold the snapshot metadata.  A Context bundles any
+provenance sources hold the snapshot metadata.  A file source parses
+and groups its file once, when it is built.  A Context bundles any
 number of both behind one memoising facade: per-entity quads, loaded
 histories, the parsed update of every snapshot, and an index from each
 term those updates mention to the snapshots that mention it.
@@ -13,6 +14,8 @@ Entity graphs are fetched with a fixed template that covers the default
 graph and named graphs in one UNION, because ground deltas are graph
 scoped and reconstruction needs to know where each quad lives.  The
 `requests` package is imported only when some source is an endpoint.
+A term in an endpoint's results is checked as any other input is, and a
+malformed one is a NetworkError.
 """
 
 from __future__ import annotations
@@ -20,7 +23,7 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import TYPE_CHECKING, Mapping, Sequence
+from typing import TYPE_CHECKING, Callable, Mapping, Sequence
 
 from .errors import BadDelta, ConfigError, NetworkError, NoHistory, ParseError
 from .provenance import (
@@ -32,7 +35,7 @@ from .provenance import (
     parse_delta,
     scope_delta,
 )
-from .rdf_model import GraphSet, Quad, Term, TermTable, Triple, parse_document
+from .rdf_model import GraphSet, Quad, Term, TermTable, parse_document, quad
 from .sparql_engine import (
     Binding,
     ParsedQuery,
@@ -131,41 +134,42 @@ def _is_endpoint(location: str) -> bool:
     return location.startswith("http://") or location.startswith("https://")
 
 
+def _read_file(location: str) -> GraphSet:
+    """Parse one local source file, in the format its suffix names.
+
+    Every failure to tell the format, read the file or parse it is a
+    ConfigError naming the file.
+    """
+    path = Path(location)
+    fmt = _FORMATS.get(path.suffix.lower())
+    if fmt is None:
+        raise ConfigError(
+            f"cannot tell the format of {location}; expected one of"
+            f" {', '.join(sorted(set(_FORMATS)))}"
+        )
+    try:
+        text = path.read_text(encoding="utf-8")
+    except OSError as exc:
+        raise ConfigError(f"cannot read source file {location}: {exc}")
+    try:
+        return parse_document(text, fmt)
+    except ParseError as exc:
+        raise ConfigError(f"source file {location} does not parse: {exc}")
+
+
 class FileSource:
-    """Quads parsed from one local file, with lazy per-subject lookup."""
+    """Quads parsed from one local file, grouped by subject IRI when built."""
 
     def __init__(self, location: str, graphs: GraphSet | None = None):
         self.location = location
-        if graphs is None:
-            path = Path(location)
-            fmt = _FORMATS.get(path.suffix.lower())
-            if fmt is None:
-                raise ConfigError(
-                    f"cannot tell the format of {location}; expected one of"
-                    f" {', '.join(sorted(set(_FORMATS)))}"
-                )
-            try:
-                text = path.read_text(encoding="utf-8")
-            except OSError as exc:
-                raise ConfigError(f"cannot read source file {location}: {exc}")
-            try:
-                graphs = parse_document(text, fmt)
-            except ParseError as exc:
-                raise ConfigError(f"source file {location} does not parse: {exc}")
-        self.graphs: GraphSet = frozenset(graphs)
-        self._by_subject: dict[str, set[Quad]] | None = None
-
-    def _subject_map(self) -> dict[str, set[Quad]]:
-        if self._by_subject is None:
-            mapping: dict[str, set[Quad]] = {}
-            for q in self.graphs:
-                if q.subject.is_iri:
-                    mapping.setdefault(q.subject.value, set()).add(q)
-            self._by_subject = mapping
-        return self._by_subject
+        self.graphs: GraphSet = _read_file(location) if graphs is None else frozenset(graphs)
+        self._by_subject: dict[str, set[Quad]] = {}
+        for q in self.graphs:
+            if q.subject.is_iri:
+                self._by_subject.setdefault(q.subject.value, set()).add(q)
 
     def entity_quads(self, entity: str) -> frozenset[Quad]:
-        return frozenset(self._subject_map().get(entity, ()))
+        return frozenset(self._by_subject.get(entity, ()))
 
 
 class EndpointSource:
@@ -220,18 +224,26 @@ class EndpointSource:
             return response
 
 
+def _checked(url: str, build: Callable, *args):
+    """build(*args), where a ValueError means a malformed term in results."""
+    try:
+        return build(*args)
+    except ValueError as exc:
+        raise NetworkError(url, None, f"malformed term in results: {exc}") from None
+
+
 def _term_from_json(url: str, node: Mapping) -> Term:
     kind = node.get("type")
     value = node.get("value", "")
     if kind == "uri":
-        return Term("iri", value)
+        return _checked(url, Term, "iri", value)
     if kind in ("literal", "typed-literal"):
         lang = node.get("xml:lang")
         if lang:
-            return Term("literal", value, language=lang)
-        return Term("literal", value, datatype=node.get("datatype"))
+            return _checked(url, Term, "literal", value, None, lang)
+        return _checked(url, Term, "literal", value, node.get("datatype"))
     if kind == "bnode":
-        return Term("blank", value)
+        return _checked(url, Term, "blank", value)
     raise NetworkError(url, None, f"unknown term type {kind!r} in results")
 
 
@@ -273,8 +285,8 @@ class DataEndpoint(EndpointSource):
             if "p" not in row or "o" not in row:
                 continue
             graph = row.get("g")
-            quads.add(Quad(
-                Triple(subject, row["p"], row["o"]),
+            quads.add(_checked(
+                self.url, quad, subject, row["p"], row["o"],
                 graph.value if graph is not None and graph.is_iri else None,
             ))
         return frozenset(quads)
@@ -299,7 +311,7 @@ class ProvenanceEndpoint(EndpointSource):
         quads = set()
         for row in rows:
             if {"s", "p", "o"} <= row.keys():
-                quads.add(Quad(Triple(row["s"], row["p"], row["o"]), None))
+                quads.add(_checked(self.url, quad, row["s"], row["p"], row["o"]))
         return frozenset(quads)
 
     def delta_records(self) -> list[DeltaRecord]:
@@ -315,36 +327,29 @@ class ProvenanceEndpoint(EndpointSource):
         return records
 
 
-class FileProvenanceSource(FileSource):
-    def __init__(self, location: str, graphs: GraphSet | None = None):
-        super().__init__(location, graphs)
-        self._snapshots_of: dict[str, set[Term]] | None = None
-        self._quads_of_snapshot: dict[Term, list[Quad]] | None = None
+class FileProvenanceSource:
+    """Snapshot metadata from one local file, grouped when built into each
+    subject's quads and each entity's snapshots; only the groups are kept."""
 
-    def _index(self) -> tuple[dict[str, set[Term]], dict[Term, list[Quad]]]:
-        """Each entity's snapshots, and each subject's quads in file order."""
-        if self._snapshots_of is None:
-            snapshots_of: dict[str, set[Term]] = {}
-            quads_of: dict[Term, list[Quad]] = {}
-            for q in self.graphs:
-                quads_of.setdefault(q.subject, []).append(q)
-                if q.predicate.value == SPECIALIZATION_OF and q.object.is_iri:
-                    snapshots_of.setdefault(q.object.value, set()).add(q.subject)
-            self._snapshots_of = snapshots_of
-            self._quads_of_snapshot = quads_of
-        return self._snapshots_of, self._quads_of_snapshot
+    def __init__(self, location: str, graphs: GraphSet | None = None):
+        self.location = location
+        self._snapshots_of: dict[str, set[Term]] = {}
+        self._quads_of: dict[Term, list[Quad]] = {}
+        for q in _read_file(location) if graphs is None else graphs:
+            self._quads_of.setdefault(q.subject, []).append(q)
+            if q.predicate.value == SPECIALIZATION_OF and q.object.is_iri:
+                self._snapshots_of.setdefault(q.object.value, set()).add(q.subject)
 
     def provenance_quads_for(self, entity: str) -> frozenset[Quad]:
-        snapshots_of, quads_of = self._index()
         collected: set[Quad] = set()
-        for snapshot in snapshots_of.get(entity, ()):
-            collected.update(quads_of[snapshot])
+        for snapshot in self._snapshots_of.get(entity, ()):
+            collected.update(self._quads_of[snapshot])
         return frozenset(collected)
 
     def delta_records(self) -> list[DeltaRecord]:
         """One record per update text and entity of each snapshot."""
         records = []
-        for snapshot, quads in self._index()[1].items():
+        for snapshot, quads in self._quads_of.items():
             if not snapshot.is_iri:
                 continue
             entities = [
@@ -400,8 +405,7 @@ class Context:
     def match_subjects(self, pattern: TriplePattern) -> set[str]:
         """IRIs that satisfy the pattern's subject in the current data."""
         out: set[str] = set()
-        locals_present = any(isinstance(s, FileSource) for s in self.data_sources)
-        if locals_present:
+        if any(isinstance(s, FileSource) for s in self.data_sources):
             if self._local_index is None:
                 self._local_index = TripleIndex(self._file_quads())
             assert isinstance(pattern.subject, Variable)
@@ -417,8 +421,7 @@ class Context:
     def evaluate_current(self, query: ParsedQuery) -> SolutionSet:
         """Run the query against the live state of every data source."""
         rows: list[Binding] = []
-        locals_present = any(isinstance(s, FileSource) for s in self.data_sources)
-        if locals_present:
+        if any(isinstance(s, FileSource) for s in self.data_sources):
             rows.extend(evaluate(query, self._file_quads()).rows)
         for source in self.data_sources:
             if isinstance(source, DataEndpoint):
@@ -443,14 +446,12 @@ class Context:
         quads: set[Quad] = set()
         for source in self.provenance_sources:
             quads |= source.provenance_quads_for(entity)
-        history: EntityHistory | None
-        if not quads:
-            history = None
-        else:
+        history: EntityHistory | None = None
+        if quads:
             try:
                 history = load_history(entity, frozenset(quads), parse=self._delta)
             except NoHistory:
-                history = None
+                pass
         self._histories[entity] = history
         return history
 

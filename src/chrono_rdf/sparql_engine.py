@@ -39,12 +39,14 @@ from .rdf_model import (
     XSD_STRING,
     Quad,
     Term,
+    TermKey,
     TermTable,
     Triple,
     Scanner,
     read_number,
     escape_string,
-    is_absolute_iri,
+    intern_term,
+    read_iri_term,
 )
 
 
@@ -191,7 +193,7 @@ def _tokenize(text: str) -> tuple[list[_Tok], Scanner]:
         elif ch == "_" and sc.peek(1) == ":":
             toks.append(_Tok("blank", sc.read_blank_label(), pos))
         elif ch.isdigit() or (ch in "+-" and sc.peek(1).isdigit()):
-            toks.append(_Tok("term", read_number(sc), pos))
+            toks.append(_Tok("number", read_number(sc), pos))
         elif ch in _PUNCT_SINGLE:
             sc.pos += 1
             toks.append(_Tok("punct", ch, pos))
@@ -308,19 +310,23 @@ def parse_select(text: str) -> ParsedQuery:
         ts.advance()
     ts.expect_punct("{")
 
+    terms: TermTable = {}
+
     def resolve_term(tok: _Tok) -> Term:
         if tok.kind == "iri":
             value = str(tok.value)
-            if not is_absolute_iri(value):
-                raise ts.error(f"relative IRI {value!r}; queries have no base", tok)
-            return Term("iri", value)
-        if tok.kind == "pname":
+        elif tok.kind == "pname":
             prefix, _, local = str(tok.value).partition(":")
             if prefix not in prefixes:
                 line, column = ts.sc.location(tok.pos)
                 raise UnknownPrefix(prefix, line, column)
-            return Term("iri", prefixes[prefix] + local)
-        raise ts.error("expected an IRI", tok)
+            value = prefixes[prefix] + local
+        else:
+            raise ts.error("expected an IRI", tok)
+        try:
+            return intern_term(terms, value)
+        except ValueError:
+            raise ts.error(f"relative IRI {value!r}; queries have no base", tok) from None
 
     def read_pattern_term(position: str) -> PatternTerm:
         tok = ts.cur
@@ -338,16 +344,16 @@ def parse_select(text: str) -> ParsedQuery:
         if position == "object":
             if tok.kind == "string":
                 ts.advance()
-                return _finish_query_literal(ts, str(tok.value), resolve_term)
-            if tok.kind == "term":
+                return intern_term(terms, _query_literal_key(ts, str(tok.value), resolve_term))
+            if tok.kind == "number":
                 ts.advance()
-                return tok.value  # numeric literal
+                return intern_term(terms, tok.value)
             if tok.kind == "word" and str(tok.value) in ("true", "false"):
                 ts.advance()
-                return Term("literal", str(tok.value), datatype=XSD_BOOLEAN)
+                return intern_term(terms, (str(tok.value), XSD_BOOLEAN, None))
         if position == "predicate" and tok.kind == "word" and tok.value == "a":
             ts.advance()
-            return Term("iri", RDF_TYPE)
+            return intern_term(terms, RDF_TYPE)
         if tok.kind == "punct" and tok.value in ("/", "^", "|", "+"):
             raise UnsupportedFeature("property paths")
         raise ts.error(f"expected a {position} term", tok)
@@ -487,14 +493,15 @@ def parse_select(text: str) -> ParsedQuery:
     )
 
 
-def _finish_query_literal(ts: _TokenStream, value: str, resolve_term) -> Term:
+def _query_literal_key(ts: _TokenStream, value: str, resolve_term) -> TermKey:
+    """The TermTable key of the literal whose string token was just read."""
     if ts.cur.kind == "langtag":
-        return Term("literal", value, language=str(ts.advance().value))
+        return value, None, str(ts.advance().value)
     if ts.at_punct("^^"):
         ts.advance()
         dt_tok = ts.advance()
-        return Term("literal", value, datatype=resolve_term(dt_tok).value)
-    return Term("literal", value)
+        return value, resolve_term(dt_tok).value, None
+    return value, XSD_STRING, None
 
 
 def format_query(query: ParsedQuery) -> str:
@@ -733,34 +740,16 @@ def parse_update(
     prefixes blank node labels so that labels from different snapshots
     never collide.
 
-    terms is the table of IRIs and literals already read (see
-    TermTable); `a` reads the entry of rdf:type, and a graph name is the
-    value string of its IRI's entry.  A token found there is neither
-    validated nor built again, and each one read for the first time is
-    added, so updates parsed with one table share one object per term.
-    Only validated terms enter the table, so a failed parse leaves it
-    usable.  Blank nodes are never entered.  Without a table, terms are
-    shared within this update only.
+    terms is the table of terms already read (see TermTable and
+    intern_term): updates parsed with one table share one object per IRI
+    or literal, each checked once.  A token that fails its check is not
+    entered, so a failed parse leaves the table usable.  Blank nodes are
+    never entered.  Without a table, terms are shared within this update.
     """
     sc = Scanner(text)
     deletes: list[Quad] = []
     inserts: list[Quad] = []
-    if terms is None:
-        terms = {}
-
-    def iri_term(value: str, relative: str = "relative IRI {!r} in update text") -> Term:
-        term = terms.get(value)
-        if term is None:
-            if not is_absolute_iri(value):
-                raise sc.error(relative.format(value))
-            term = terms[value] = Term("iri", value)
-        return term
-
-    def literal_term(key: tuple[str, str | None, str | None]) -> Term:
-        term = terms.get(key)
-        if term is None:
-            term = terms[key] = Term("literal", *key)
-        return term
+    terms = {} if terms is None else terms
 
     def read_term(position: str) -> Term:
         sc.skip_space()
@@ -769,7 +758,7 @@ def parse_update(
         if ch and ch in "?$":
             raise VariableInDelta(f"variable in update text at offset {pos}")
         if ch == "<":
-            return iri_term(sc.read_iriref())
+            return read_iri_term(sc, terms, "relative IRI {!r} in update text")
         if ch == "_" and sc.peek(1) == ":":
             label = sc.read_blank_label()
             if blank_scope:
@@ -780,8 +769,8 @@ def parse_update(
                 raise sc.error(f"literal in {position} position")
             value = sc.read_string()
             if sc.peek() == "@":
-                return literal_term((value, None, sc.read_langtag()))
-            if sc.peek() == "^" and sc.peek(1) == "^":
+                key = (value, None, sc.read_langtag())
+            elif sc.peek() == "^" and sc.peek(1) == "^":
                 sc.pos += 2
                 sc.skip_space()
                 if sc.peek() != "<":
@@ -789,24 +778,27 @@ def parse_update(
                     if ":" in word:
                         raise PrefixInDelta(f"prefixed datatype {word!r} in update text")
                     raise sc.error("expected a datatype IRI")
-                dt = iri_term(sc.read_iriref(), "relative datatype IRI {!r}").value
-                return literal_term((value, dt, None))
-            return literal_term((value, XSD_STRING, None))
-        if ch.isdigit() or (ch in "+-" and sc.peek(1).isdigit()):
+                dt = read_iri_term(sc, terms, "relative datatype IRI {!r}").value
+                key = (value, dt, None)
+            else:
+                key = (value, XSD_STRING, None)
+        elif ch.isdigit() or (ch in "+-" and sc.peek(1).isdigit()):
             if position != "object":
                 raise sc.error(f"numeric literal in {position} position")
-            number = read_number(sc)
-            return terms.setdefault((number.value, number.datatype, None), number)
-        word = sc.read_word()
-        if word == "a" and position == "predicate":
-            return iri_term(RDF_TYPE)
-        if word in ("true", "false") and position == "object":
-            return literal_term((word, XSD_BOOLEAN, None))
-        if ":" in word:
-            raise PrefixInDelta(f"prefixed name {word!r} in update text")
-        raise sc.error(
-            f"expected a {position} term" + (f", found {word!r}" if word else "")
-        )
+            key = read_number(sc)
+        else:
+            word = sc.read_word()
+            if word == "a" and position == "predicate":
+                key = RDF_TYPE
+            elif word in ("true", "false") and position == "object":
+                key = (word, XSD_BOOLEAN, None)
+            elif ":" in word:
+                raise PrefixInDelta(f"prefixed name {word!r} in update text")
+            else:
+                raise sc.error(
+                    f"expected a {position} term" + (f", found {word!r}" if word else "")
+                )
+        return terms.get(key) or intern_term(terms, key)
 
     def read_triples(target: list[Quad], graph: str | None, stop: str) -> None:
         while True:
@@ -829,7 +821,7 @@ def parse_update(
                         if ":" in inner:
                             raise PrefixInDelta(f"prefixed graph name {inner!r}")
                         raise sc.error("expected a graph IRI")
-                    g = iri_term(sc.read_iriref(), "relative graph IRI {!r}").value
+                    g = read_iri_term(sc, terms, "relative graph IRI {!r}").value
                     sc.skip_space()
                     sc.expect("{")
                     read_triples(target, g, "}")

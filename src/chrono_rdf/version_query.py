@@ -337,7 +337,6 @@ class VersionQueryOutcome:
     relevant_entities: frozenset[str]
     snapshots_involved: int
     timeline: Timeline
-    plan: QueryPlan
 
 
 def execute_version_query(
@@ -355,8 +354,7 @@ def execute_version_query(
     object.
     """
     parsed = parse_select(query) if isinstance(query, str) else query
-    plan = classify(parsed)
-    explication = explicate(plan, ctx, interval=interval, at=at)
+    explication = explicate(classify(parsed), ctx, interval=interval, at=at)
     versions = explication.versions
 
     results: dict[str, SolutionSet] = {}
@@ -383,5 +381,4 @@ def execute_version_query(
         relevant_entities=explication.relevant,
         snapshots_involved=explication.snapshots_involved,
         timeline=timeline,
-        plan=plan,
     )

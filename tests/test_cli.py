@@ -18,8 +18,9 @@ from conftest import (
     WRONG_DOI,
 )
 
-from chrono_rdf import literal, materialize_at, parse_timestamp, quad, serialize
+from chrono_rdf import Term, literal, materialize_at, parse_timestamp, quad, serialize
 from chrono_rdf.cli import main
+from chrono_rdf.sources import EndpointSource
 
 VALUE_QUERY = f"SELECT ?v WHERE {{ <{ID}> <{HAS_VALUE}> ?v }}"
 
@@ -147,6 +148,18 @@ class TestDelta:
         assert record["time"] == FIXED_AT
         assert f'"{RIGHT_DOI}"' in record["added"]
         assert WRONG_DOI in record["removed"]
+
+    def test_entities_involved_counts_the_relevant_entities(
+        self, capsys, config_path, tmp_path
+    ):
+        query_file = tmp_path / "q.rq"
+        query_file.write_text(
+            f"SELECT ?s WHERE {{ ?s <{USES_SCHEME}> <http://purl.org/spar/datacite/doi> }}",
+            encoding="utf-8",
+        )
+        doc = run_json(capsys, ["--config", config_path, "delta", "--file", str(query_file)])
+        assert doc["relevant_entities"] == [ID]
+        assert doc["entities_involved"] == len(doc["relevant_entities"])
 
     def test_properties_filter(self, capsys, config_path, tmp_path):
         query_file = tmp_path / "q.rq"
@@ -367,6 +380,24 @@ class TestExitCodes:
         error = json.loads(captured.err)
         assert error["error"] == "BadDelta"
         assert f"numeric escape {escape} is not a Unicode scalar value" in error["message"]
+
+    def test_malformed_endpoint_results_are_3(self, capsys, doi_files, tmp_path, monkeypatch):
+        def answer(self, query_text):
+            return [{"p": Term("literal", "not a predicate"), "o": Term("literal", "o")}]
+
+        monkeypatch.setattr(EndpointSource, "select", answer)
+        _, prov_path = doi_files
+        path = tmp_path / "endpoint.json"
+        path.write_text(json.dumps({
+            "data": ["http://endpoint.example/sparql"], "provenance": [str(prov_path)],
+        }), encoding="utf-8")
+        code = main(["--config", str(path), "materialize", ID, "--all"])
+        captured = capsys.readouterr()
+        assert code == 3
+        assert captured.out == ""
+        error = json.loads(captured.err)
+        assert error["error"] == "NetworkError"
+        assert "malformed term in results" in error["message"]
 
     def test_unbounded_query_is_4(self, capsys, config_path, monkeypatch):
         monkeypatch.setattr("sys.stdin", io.StringIO("SELECT * WHERE { ?s ?p ?o }"))

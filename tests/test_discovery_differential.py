@@ -11,6 +11,8 @@ engine's single-version answer there.
 The shapes are those discovery once got wrong: an isolated pattern
 inside OPTIONAL, a chase that runs through OPTIONAL joined patterns,
 and an isolated pattern without any ground term, which must be refused.
+Two joins that discovery still gets wrong, because they bind an entity
+only as the subject of a backward join, are expected to fail.
 """
 
 from __future__ import annotations
@@ -30,6 +32,7 @@ from chrono_rdf import (
     parse_select,
 )
 from chrono_rdf.benchgen import (
+    BASE_IRI,
     CITO_CITES,
     DATACITE_DOI,
     DATACITE_HAS_IDENTIFIER,
@@ -104,12 +107,10 @@ def world_case(request):
     return world, world.context(), _intervals(world)
 
 
-@pytest.mark.parametrize("interval_name", ["open", "closed"])
-@pytest.mark.parametrize("which", QUERIES)
-def test_answers_equal_the_whole_ledger(world_case, which, interval_name):
-    world, ctx, intervals = world_case
-    interval = intervals[interval_name]
-    query = parse_select(_queries(world, interval.end)[which])
+def _wrong_times(world, ctx, query, interval) -> tuple[list, int]:
+    """The ledger times in interval at which the engine's answer is not
+    the brute-force answer over the whole ledger, and how many there are
+    in interval."""
     outcome = execute_version_query(query, ctx, interval=interval)
     keys = outcome.timeline.times
     before_first_key = Counter()
@@ -128,7 +129,41 @@ def test_answers_equal_the_whole_ledger(world_case, which, interval_name):
             got = before_first_key
         if got != truth:
             wrong.append(when)
-    assert not wrong, f"{len(wrong)} of {len(times)} times differ, first at {wrong[0]}"
+    return wrong, len(times)
+
+
+@pytest.mark.parametrize("interval_name", ["open", "closed"])
+@pytest.mark.parametrize("which", QUERIES)
+def test_answers_equal_the_whole_ledger(world_case, which, interval_name):
+    world, ctx, intervals = world_case
+    interval = intervals[interval_name]
+    query = parse_select(_queries(world, interval.end)[which])
+    wrong, checked = _wrong_times(world, ctx, query, interval)
+    assert not wrong, f"{len(wrong)} of {checked} times differ, first at {wrong[0]}"
+
+
+BACKWARD_JOINS = {
+    "backward-join": "SELECT ?b ?c WHERE {{ <{e}> <{cites}> ?b . ?c <{cites}> ?b }}",
+    "backward-two-hop": (
+        "SELECT ?b ?c ?id WHERE {{ <{e}> <{cites}> ?b . ?c <{cites}> ?b ."
+        " ?c <{has_id}> ?id }}"
+    ),
+}
+
+
+# Discovery promotes only IRIs bound to some pattern's subject variable,
+# so a ?c that only `?c cites ?b` binds is never materialised.  On the
+# small world, anchored on br/0, the answers differ at most ledger times;
+# the fix of that defect must turn these into passes.
+@pytest.mark.xfail(strict=True, reason="discovery does not follow a join backwards")
+@pytest.mark.parametrize("which", BACKWARD_JOINS)
+def test_backward_joins_equal_the_whole_ledger(small_world, which):
+    text = BACKWARD_JOINS[which].format(
+        e=BASE_IRI + "br/0", cites=CITO_CITES, has_id=DATACITE_HAS_IDENTIFIER
+    )
+    interval = _intervals(small_world)["open"]
+    wrong, checked = _wrong_times(small_world, small_world.context(), parse_select(text), interval)
+    assert not wrong, f"{len(wrong)} of {checked} times differ, first at {wrong[0]}"
 
 
 def test_an_isolated_pattern_without_ground_terms_is_refused(world_case):

@@ -30,6 +30,7 @@ from chrono_rdf import (
 )
 
 import chrono_rdf
+from chrono_rdf import rdf_model, sparql_engine
 from chrono_rdf.sources import DataEndpoint
 from chrono_rdf.sparql_engine import parse_update
 
@@ -225,6 +226,81 @@ class TestParseNquads:
         quads = parse_nquads(text)
         (q,) = quads
         assert q.subject.kind == "blank" and q.object.kind == "blank"
+
+
+class TestOneCheckPerTerm:
+    """Each reader interns through one TermTable and checks each IRI once."""
+
+    DT = "http://a.example/dt"
+    IRIS = ("http://a.example/s", "http://a.example/p", "http://a.example/o", DT)
+    NQUADS = (
+        "<http://a.example/s> <http://a.example/p> <http://a.example/o> .\n"
+        '<http://a.example/o> <http://a.example/p> "1"^^<http://a.example/dt> .\n'
+        '<http://a.example/s> <http://a.example/p> "2"^^<http://a.example/dt> .\n'
+        "<http://a.example/o> <http://a.example/p> <http://a.example/s> .\n"
+    )
+
+    @pytest.fixture()
+    def checked(self, monkeypatch):
+        """The IRIs handed to rdf_model.is_absolute_iri, in call order."""
+        seen: list[str] = []
+        check = rdf_model.is_absolute_iri
+
+        def counting(value: str) -> bool:
+            seen.append(value)
+            return check(value)
+
+        monkeypatch.setattr(rdf_model, "is_absolute_iri", counting)
+        # a reader that imported the check by name would call it from there
+        monkeypatch.setattr(sparql_engine, "is_absolute_iri", counting, raising=False)
+        return seen
+
+    def test_nquads_checks_each_distinct_iri_once(self, checked):
+        assert len(parse_nquads(self.NQUADS)) == 4
+        assert sorted(checked) == sorted(self.IRIS)
+
+    def test_update_checks_each_distinct_iri_once(self, checked):
+        typed = f"<{self.IRIS[0]}> a <{self.IRIS[2]}>"
+        text = "INSERT DATA { " + self.NQUADS.replace("\n", " ") + typed + " }"
+        assert len(parse_update(text).inserts) == 5
+        assert sorted(checked) == sorted(self.IRIS + (rdf_model.RDF_TYPE,))
+
+    def test_nquads_builds_one_object_per_term(self):
+        g = "http://a.example/g"
+        quads = parse_nquads(
+            f'<{self.IRIS[0]}> <{self.IRIS[1]}> "x" <{g}> .\n'
+            f'<{self.IRIS[0]}> <{self.IRIS[1]}> "x"^^<{XSD_STRING}> .\n'
+            f'<{self.IRIS[2]}> <{self.IRIS[1]}> "x" <{g}> .\n'
+            f'<{self.IRIS[2]}> <{self.IRIS[1]}> "1"^^<{self.DT}> <{g}> .\n'
+            f'<{self.IRIS[0]}> <{self.IRIS[1]}> "2"^^<{self.DT}> .\n'
+            f'<{self.IRIS[0]}> <{self.DT}> <{g}> <{g}> .\n'
+        )
+        by_value: dict[str, set[int]] = {}
+        for q in quads:
+            for term in (q.subject, q.predicate, q.object):
+                by_value.setdefault(term.n3(), set()).add(id(term))
+        assert all(len(ids) == 1 for ids in by_value.values()), by_value
+        # "x" and "x"^^xsd:string are one literal
+        assert len({id(q.object) for q in quads if q.object.value == "x"}) == 1
+        # a datatype and a graph name are the value of their IRI's term
+        (dt_iri,) = {id(q.predicate.value) for q in quads if q.predicate.value == self.DT}
+        assert {id(q.object.datatype) for q in quads if q.object.value in ("1", "2")} == {dt_iri}
+        (g_iri,) = {id(q.object.value) for q in quads if q.object.value == g}
+        assert {id(q.graph) for q in quads if q.graph is not None} == {g_iri}
+
+    def test_update_table_is_keyed_by_the_one_rule(self):
+        table: dict = {}
+        objects = ('"x"', "7", "true", f'"x"^^<{XSD_STRING}>', '"y"@en')
+        s = f"<{self.IRIS[0]}>"
+        text = f"INSERT DATA {{ GRAPH <{self.IRIS[3]}> {{ {' . '.join(f'{s} a {o}' for o in objects)} }} }}"
+        inserts = parse_update(text, terms=table).inserts
+        assert len({q.object for q in inserts}) == 4
+        assert set(table) == {
+            self.IRIS[0], self.IRIS[3], rdf_model.RDF_TYPE, XSD_STRING,
+            ("x", XSD_STRING, None), ("7", rdf_model.XSD_INTEGER, None),
+            ("true", rdf_model.XSD_BOOLEAN, None), ("y", None, "en"),
+        }
+        assert all(q.graph is table[self.IRIS[3]].value for q in inserts)
 
 
 class TestParseTurtle:

@@ -52,7 +52,12 @@ from chrono_rdf.provenance import (
     SPECIALIZATION_OF,
     WAS_DERIVED_FROM,
 )
-from chrono_rdf.sources import FileProvenanceSource, FileSource
+from chrono_rdf.sources import (
+    DataEndpoint,
+    FileProvenanceSource,
+    FileSource,
+    ProvenanceEndpoint,
+)
 
 
 class TestSourceConfig:
@@ -173,6 +178,23 @@ class TestFileProvenanceSource:
         assert source.delta_records() == [
             DeltaRecord(entity=ID, snapshot=ID + "/prov/se/2", text=DOI_UPDATE)
         ]
+
+    def test_file_and_memory_sources_agree_on_every_entity(self, small_world, tmp_path):
+        small_world.save(tmp_path, include_ledger=False)
+        from_file = FileProvenanceSource(str(tmp_path / "provenance.nq"))
+        in_memory = memory_context(small_world.data, small_world.provenance).provenance_sources[0]
+        entities = {
+            q.object.value for q in small_world.provenance if q.predicate.value == SPECIALIZATION_OF
+        }
+        assert len(entities) > 1
+        for entity in entities:
+            mine = from_file.provenance_quads_for(entity)
+            assert mine and mine == in_memory.provenance_quads_for(entity)
+        assert from_file.delta_records() == in_memory.delta_records()
+        for source in (from_file, in_memory):
+            # only the groups are kept, not the file's quad set
+            assert not any(isinstance(v, (set, frozenset)) for v in vars(source).values())
+            assert not isinstance(source, FileSource)
 
 
 class TestContext:
@@ -480,3 +502,45 @@ class TestEndpointFailures:
         ctx = load_sources(config)
         with pytest.raises(NetworkError):
             ctx.entity_quads(ID)
+
+
+class TestMalformedResults:
+    """Terms an endpoint answers with are checked like every other input."""
+
+    URL = "http://endpoint.example/sparql"
+
+    def endpoint(self, kind, rows):
+        class Answered:
+            status_code = 200
+
+            def json(self):
+                return {"results": {"bindings": rows}}
+
+        endpoint = kind(self.URL, 1.0, None)
+        endpoint._post = lambda query_text: Answered()
+        return endpoint
+
+    @pytest.mark.parametrize("node", [
+        {"type": "uri", "value": "relative/x"},
+        {"type": "literal", "value": "x", "xml:lang": "not a tag"},
+        {"type": "bnode", "value": ""},
+    ], ids=["relative-iri", "bad-language", "empty-bnode-label"])
+    def test_malformed_node(self, node):
+        endpoint = self.endpoint(DataEndpoint, [{"p": node}])
+        with pytest.raises(NetworkError, match="malformed term in results") as info:
+            endpoint.select("SELECT * WHERE { ?s ?p ?o }")
+        assert info.value.url == self.URL and info.value.status is None
+
+    def test_literal_predicate(self):
+        row = {"p": {"type": "literal", "value": "p"}, "o": {"type": "literal", "value": "o"}}
+        with pytest.raises(NetworkError, match="malformed term in results"):
+            self.endpoint(DataEndpoint, [row]).entity_quads(ID)
+
+    def test_literal_subject(self):
+        row = {
+            "s": {"type": "literal", "value": "s"},
+            "p": {"type": "uri", "value": TITLE},
+            "o": {"type": "literal", "value": "o"},
+        }
+        with pytest.raises(NetworkError, match="malformed term in results"):
+            self.endpoint(ProvenanceEndpoint, [row]).provenance_quads_for(ID)
