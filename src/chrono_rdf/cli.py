@@ -297,6 +297,9 @@ def _check_usage(args: argparse.Namespace) -> None:
     since, until = getattr(args, "since", None), getattr(args, "until", None)
     if getattr(args, "format", "json") == "nquads" and not at:
         raise UsageError("--format nquads requires --at")
+    for flag in ("repetitions", "subjects"):
+        if getattr(args, flag, 1) < 1:
+            raise UsageError(f"--{flag} must be at least 1")
     if at is not None and (since is not None or until is not None):
         raise UsageError("--at names one instant; it cannot be combined with --from or --to")
     if since is not None and until is not None and since > until:

@@ -107,11 +107,6 @@ def current_graph(entity: str, data: Iterable[Quad]) -> GraphSet:
     return frozenset(q for q in data if q.subject.is_iri and q.subject.value == entity)
 
 
-def _apply(delta: Delta, graphs: GraphSet) -> GraphSet:
-    delta_applications.bump()
-    return apply_delta(delta, graphs)
-
-
 def _as_history(entity: str, provenance) -> EntityHistory:
     if isinstance(provenance, EntityHistory):
         if provenance.entity != entity:
@@ -148,7 +143,8 @@ def _chain(
                     tuple(filter(reads, undo.deletes)), tuple(filter(reads, undo.inserts))
                 )
             if reads is None or not undo.is_empty():
-                g = _apply(undo, g)
+                delta_applications.bump()
+                g = apply_delta(undo, g)
         out[k] = g
     return out
 

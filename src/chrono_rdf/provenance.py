@@ -4,10 +4,10 @@ A dataset's history arrives as provenance quads: each snapshot is a
 prov:Entity tied to its entity via prov:specializationOf, stamped with
 prov:generatedAtTime, and, from the second snapshot on, carrying the
 SPARQL update string that produced it from its predecessor.  This module
-turns those quads into an ordered EntityHistory, each update narrowed to
-the entity it belongs to, and gives deltas their algebra: invert swaps
-the two sides, compose folds a sequence into one net delta, apply_delta
-runs one against a graph set.
+turns those quads into an ordered EntityHistory, each update parsed and
+narrowed to its entity in one step (parse_delta), and gives deltas their
+algebra: invert swaps the two sides, compose folds a sequence into one
+net delta, apply_delta runs one against a graph set.
 
 Timestamps are naive UTC at second precision.  Zoned timestamps are
 converted, fractional seconds are truncated.
@@ -159,8 +159,8 @@ class Snapshot:
     primary_source: str | None = None
     derived_from: str | None = None
     description: str | None = None
-    # the stored update narrowed to this snapshot's entity (see scope_delta);
-    # its source_text is still the whole stored string
+    # the stored update as parse_delta returns it for this snapshot's entity,
+    # read as it is by every reader; its source_text is the whole stored string
     update: Delta | None = None
 
 
@@ -227,35 +227,35 @@ def scope_delta(delta: Delta, entity: str) -> Delta:
     return Delta(deletes, inserts, delta.source_text)
 
 
-def parse_delta(snapshot_id: str, text: str, terms: TermTable | None = None) -> Delta:
-    """Parse the update string stored on one snapshot.
+def parse_delta(entity: str, snapshot_id: str, text: str, terms: TermTable | None = None) -> Delta:
+    """The update string stored on one snapshot, as the entity reads it.
 
-    Blank node labels are scoped to the snapshot.  terms, when given, is
-    the term table parse_update reads and fills, so the updates of one
-    context share one object per IRI and literal.  Raises BadDelta when
-    the text does not parse as a ground update.
+    Parsed with blank node labels scoped to the snapshot, then narrowed to
+    the entity (scope_delta).  terms, when given, is the term table that
+    parse_update fills, so one context's updates share one object per IRI
+    and literal.  Raises BadDelta when the text is not a ground update.
     """
     from .sparql_engine import parse_update
 
     try:
-        return parse_update(text, blank_scope=_scope_label(snapshot_id), terms=terms)
+        parsed = parse_update(text, blank_scope=_scope_label(snapshot_id), terms=terms)
     except Exception as exc:  # stored text is outside input: any failure is BadDelta
         raise BadDelta(snapshot_id, exc)
+    return scope_delta(parsed, entity)
 
 
 def load_history(
     entity: str,
     provenance: Iterable[Quad],
-    parse: Callable[[str, str], Delta] = parse_delta,
+    parse: Callable[[str, str, str], Delta] = parse_delta,
 ) -> EntityHistory:
     """Assemble the ordered snapshot chain of one entity.
 
-    Provenance quads may sit in any graph.  `parse` turns a snapshot id
-    and its update string into a Delta; a caller that already parsed the
-    string can hand back that result.  An update may mention several
-    entities, so each one is narrowed here, once, to the quads of this
-    entity (scope_delta); reconstruction and change reports read
-    Snapshot.update without narrowing it again.  Raises NoHistory when no snapshot
+    Provenance quads may sit in any graph.  `parse` takes the entity, a
+    snapshot id and its update string and returns the update as the
+    entity reads it, as parse_delta does; a caller that already holds
+    that Delta can hand it back.  Reconstruction and change reports read
+    Snapshot.update as it is.  Raises NoHistory when no snapshot
     specialises the entity, BrokenChain when the metadata does not
     determine a single valid order, and BadDelta when an update string
     does not parse as a ground update.
@@ -308,7 +308,7 @@ def load_history(
         update = None
         update_values = values(OCO_HAS_UPDATE_QUERY)
         if update_values:
-            update = scope_delta(parse(sid, _one(update_values, sid, "update query")), entity)
+            update = parse(entity, sid, _one(update_values, sid, "update query"))
 
         source_values = values(HAD_PRIMARY_SOURCE) | values(HAS_PRIMARY_SOURCE)
         derived_values = values(WAS_DERIVED_FROM)

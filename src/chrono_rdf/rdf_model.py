@@ -536,10 +536,12 @@ def parse_turtle(text: str, base: str | None = None) -> GraphSet:
     def resolve(raw: str, pos: int) -> str:
         if is_absolute_iri(raw):
             return raw
-        if base is None and "base_iri" not in state:
+        joined = urljoin(state.get("base_iri", ""), raw)
+        if not is_absolute_iri(joined):  # no base, or one such as urn:x that joins nothing
             line, column = sc.location(pos)
-            raise ParseError(f"relative IRI {raw!r} with no base", line, column)
-        return urljoin(state.get("base_iri", base or ""), raw)
+            why = f"does not resolve against <{state['base_iri']}>" if state else "with no base"
+            raise ParseError(f"relative IRI {raw!r} {why}", line, column)
+        return joined
 
     state: dict[str, str] = {}
     if base is not None:

@@ -5,8 +5,8 @@ SPARQL endpoint (http or https URL).  Data sources hold the live state;
 provenance sources hold the snapshot metadata.  A file source parses
 and groups its file once, when it is built.  A Context bundles any
 number of both behind one memoising facade: per-entity quads, loaded
-histories, the parsed update of every snapshot, and an index from each
-term those updates mention to the snapshots that mention it.
+histories, each stored update as its entity reads it, and an index from
+each term those updates mention to the snapshots that mention it.
 
 Endpoint access keeps to the SPARQL 1.1 protocol: queries go out as
 POST form data and answers come back as application/sparql-results+json.
@@ -33,7 +33,6 @@ from .provenance import (
     EntityHistory,
     load_history,
     parse_delta,
-    scope_delta,
 )
 from .rdf_model import GraphSet, Quad, Term, TermTable, parse_document, quad
 from .sparql_engine import (
@@ -378,7 +377,7 @@ class Context:
         self._entity_quads: dict[str, frozenset[Quad]] = {}
         self._histories: dict[str, EntityHistory | None] = {}
         self._records: tuple[DeltaRecord, ...] | None = None
-        self._deltas: dict[str, Delta] = {}
+        self._deltas: dict[str, dict[str, Delta]] = {}
         self._terms: TermTable = {}
         self._postings: dict[Term, frozenset[tuple[str, str]]] = {}
         self._local_index: TripleIndex | None = None
@@ -455,19 +454,18 @@ class Context:
         self._histories[entity] = history
         return history
 
-    def _delta(self, snapshot: str, text: str) -> Delta:
-        """The parsed update of one snapshot, parsed once per context.
+    def _delta(self, entity: str, snapshot: str, text: str) -> Delta:
+        """parse_delta's result, made once per context for each entity and text.
 
-        Every update of the context is parsed with the context's one term
-        table, so an IRI or literal that many updates name is validated
-        and built once and is one object in all of them.  The term index
-        and load_history both narrow the delta to the snapshot's entity
-        (scope_delta), which keeps this object when nothing is dropped.
+        The term index and load_history both read this one object; a
+        snapshot that specialises two entities is narrowed once for each.
+        Every update is parsed with the context's one term table, so an
+        IRI or literal that many updates name is built once and shared.
         """
-        delta = self._deltas.get(snapshot)
+        mine = self._deltas.setdefault(entity, {})
+        delta = mine.get(snapshot)
         if delta is None or delta.source_text != text:
-            delta = parse_delta(snapshot, text, self._terms)
-            self._deltas[snapshot] = delta
+            delta = mine[snapshot] = parse_delta(entity, snapshot, text, self._terms)
         return delta
 
     def delta_records(self) -> tuple[DeltaRecord, ...]:
@@ -483,8 +481,8 @@ class Context:
     def term_postings(self) -> dict[Term, frozenset[tuple[str, str]]]:
         """Each IRI or literal to the (entity, snapshot) pairs whose update holds it.
 
-        Terms are read from the parsed update narrowed to the record's
-        entity (scope_delta), as its history reads it, so an update only
+        Terms are read from the record's update as its entity reads it
+        (_delta), the same object its history holds, so an update only
         makes its own entity relevant; every spelling the update grammar
         accepts for a term lands under that one term.
         Updates that do not parse are left out; loading the history of
@@ -499,7 +497,7 @@ class Context:
         postings: dict[Term, set[tuple[str, str]]] = {}
         for record in records:
             try:
-                delta = scope_delta(self._delta(record.snapshot, record.text), record.entity)
+                delta = self._delta(record.entity, record.snapshot, record.text)
             except BadDelta:
                 continue
             pair = (record.entity, record.snapshot)

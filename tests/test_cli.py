@@ -367,6 +367,24 @@ class TestExitCodes:
         assert error["error"] == "ConfigError"
         assert f"numeric escape {escape} is not a Unicode scalar value" in error["message"]
 
+    def test_turtle_iri_that_cannot_resolve_is_3(self, capsys, doi_files, tmp_path):
+        _, prov_path = doi_files
+        data_path = tmp_path / "data.ttl"
+        data_path.write_text(
+            f"@base <urn:x> .\n<y> <{HAS_VALUE}> \"v\" .\n", encoding="utf-8"
+        )
+        path = tmp_path / "turtle.json"
+        path.write_text(json.dumps({
+            "data": [str(data_path)], "provenance": [str(prov_path)],
+        }), encoding="utf-8")
+        code = main(["--config", str(path), "materialize", ID, "--all"])
+        captured = capsys.readouterr()
+        assert code == 3
+        assert captured.out == ""
+        error = json.loads(captured.err)
+        assert error["error"] == "ConfigError"
+        assert "relative IRI 'y' does not resolve against <urn:x>" in error["message"]
+
     @pytest.mark.parametrize("escape", ["\\U00110000", "\\uD800"])
     def test_update_with_a_non_scalar_escape_is_4(
         self, capsys, doi_data, doi_provenance, tmp_path, escape
@@ -447,3 +465,12 @@ class TestBench:
         workloads = {row["workload"] for row in doc["rows"]}
         assert len(doc["rows"]) == 10
         assert any("materialize" in w for w in workloads)
+
+    @pytest.mark.parametrize("flag", ["--subjects", "--repetitions"])
+    @pytest.mark.parametrize("value", ["0", "-1"])
+    def test_counts_below_one_are_usage_errors_2(self, capsys, tmp_path, flag, value):
+        out = tmp_path / "bench"
+        code = main(["bench", "--out", str(out), "--entities", "24", flag, value])
+        assert code == 2
+        assert usage_error(capsys) == f"{flag} must be at least 1"
+        assert not out.exists()

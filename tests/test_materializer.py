@@ -16,9 +16,11 @@ from chrono_rdf import (
     Snapshot,
     TimeInterval,
     UNBOUNDED,
+    apply_delta,
     classify,
     current_graph,
     format_timestamp,
+    invert,
     iri,
     literal,
     load_history,
@@ -236,6 +238,34 @@ class TestNarrowedWalk:
         assert delta_applications.count == 1
         assert [_doi_value(v.graphs) for v in versions] == [WRONG_DOI, RIGHT_DOI]
         assert all(len(v.graphs) == 1 for v in versions)
+
+
+_WALKED = "http://walk.example/e"
+_WALK_POOL = [
+    quad(iri(_WALKED), iri(f"http://p.example/{n % 3}"), literal(str(n)),
+         None if n < 4 else "http://g.example/")
+    for n in range(6)
+]
+_walk_sets = st.frozensets(st.sampled_from(_WALK_POOL), max_size=6)
+
+
+@given(
+    _walk_sets, _walk_sets, _walk_sets,
+    st.none() | _walk_sets.map(lambda kept: kept.__contains__),
+)
+@settings(max_examples=200, deadline=None)
+def test_one_chain_step_equals_the_inverted_update_narrowed(state, deletes, inserts, reads):
+    # the two sides may share quads, and inserts may be missing from the state
+    update = make_delta(deletes, inserts)
+    history = EntityHistory(_WALKED, (
+        Snapshot("http://walk.example/se/1", _WALKED, _EPOCH),
+        Snapshot("http://walk.example/se/2", _WALKED, _EPOCH + _HALF_DAY, update=update),
+    ))
+    keep = reads or (lambda q: True)
+    narrowed = make_delta(filter(keep, update.deletes), filter(keep, update.inserts))
+    present = frozenset(filter(keep, state))
+    walked = materializer._chain(_WALKED, state, history, 0, reads)
+    assert walked == {1: present, 0: apply_delta(invert(narrowed), present)}
 
 
 class TestIntervals:

@@ -164,3 +164,19 @@ class TestUpdateDeletingABlankSubjectQuad:
     def test_get_delta_reports_only_quads_some_version_holds(self, c_ctx):
         pair = get_delta(C, C + "/prov/se/2", c_ctx.entity_quads(C), c_ctx.history(C))
         assert (pair.added, pair.removed) == ({C_NEW}, {C_OLD})
+
+
+class TestOneFormPerUpdate:
+    def test_index_first_and_histories_first_agree(self):
+        data = frozenset({A_NEW, A_CITES, B_TITLE, B_EXTRA, C_NEW})
+        provenance = _provenance(SNAPSHOTS + C_SNAPSHOTS)
+        index_first = memory_context(data, provenance)
+        index_first.term_postings()
+        histories_first = memory_context(data, provenance)
+        for entity in (A, B, C):
+            histories_first.history(entity)
+        assert index_first.term_postings() == histories_first.term_postings()
+        for entity in (A, B, C):
+            indexed = index_first.history(entity).snapshots
+            loaded = histories_first.history(entity).snapshots
+            assert [s.update for s in indexed] == [s.update for s in loaded]

@@ -337,6 +337,16 @@ class TestParseTurtle:
         with pytest.raises(ParseError):
             parse_turtle("<rel> <http://p.example/> <http://o.example/> .")
 
+    @pytest.mark.parametrize("text, position", [
+        ("@base <urn:x> . <y> <http://p.example/> <http://o.example/> .", (1, 17)),
+        ("@base <urn:x> .\n@prefix e: <y#> .\ne:s <http://p.example/> <http://o.example/> .", (2, 11)),
+    ], ids=["iri", "prefix"])
+    def test_relative_iri_under_a_base_it_cannot_join(self, text, position):
+        with pytest.raises(ParseError) as err:
+            parse_turtle(text)
+        assert (err.value.line, err.value.column) == position
+        assert "does not resolve against <urn:x>" in str(err.value)
+
     def test_numbers_and_booleans(self):
         text = "<http://s.example/> <http://p.example/> 42, 4.2, true ."
         values = {q.object.datatype.rsplit("#", 1)[1] for q in parse_turtle(text)}

@@ -45,7 +45,7 @@ from chrono_rdf import (
     quad,
 )
 import chrono_rdf
-from chrono_rdf import sparql_engine
+from chrono_rdf import provenance, sparql_engine
 from chrono_rdf.provenance import (
     GENERATED_AT_TIME,
     OCO_HAS_UPDATE_QUERY,
@@ -249,7 +249,22 @@ class TestContext:
             quad(iri(ID), iri(HAS_VALUE), literal(RIGHT_DOI), ID_GRAPH),
         )
         # the update mentions its entity only, so the history keeps that parse
-        assert history.snapshots[1].update is ctx._deltas[history.snapshots[1].id]
+        assert history.snapshots[1].update is ctx._deltas[ID][history.snapshots[1].id]
+
+    def test_a_ready_context_narrows_each_record_once(self, small_world, monkeypatch):
+        ctx = small_world.context()
+        calls = []
+        real = provenance.scope_delta
+        # every module that binds the name narrows through the counted one
+        for module in (provenance, chrono_rdf.sources):
+            monkeypatch.setattr(
+                module, "scope_delta",
+                lambda d, e: calls.append((e, d.source_text)) or real(d, e), raising=False,
+            )
+        records = ctx.delta_records()
+        for entity in sorted(small_world.ledger.entities):
+            ctx.history(entity)
+        assert sorted(calls) == sorted((r.entity, r.text) for r in records)
 
     def test_an_update_that_does_not_parse(self, doi_data, doi_provenance):
         broken = literal("DELETE DATA { <" + ID + "> ?p ?o . }")
