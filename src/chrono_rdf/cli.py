@@ -108,7 +108,7 @@ def _read_query(args: argparse.Namespace) -> str:
         return sys.stdin.read()
     try:
         return Path(args.file).read_text(encoding="utf-8")
-    except OSError as exc:
+    except (OSError, UnicodeDecodeError) as exc:
         raise ConfigError(f"cannot read query file {args.file}: {exc}")
 
 

@@ -23,6 +23,7 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass, field
 from pathlib import Path
+from threading import TIMEOUT_MAX
 from typing import TYPE_CHECKING, Callable, Mapping, Sequence
 
 from .errors import BadDelta, ConfigError, NetworkError, NoHistory, ParseError
@@ -88,8 +89,13 @@ class SourceConfig:
         if not isinstance(limit, int) or isinstance(limit, bool) or limit < 1:
             raise ConfigError("'explosion_limit' must be a positive integer")
         timeout = raw.get("http_timeout", 30.0)
-        if not isinstance(timeout, (int, float)) or isinstance(timeout, bool) or timeout <= 0:
-            raise ConfigError("'http_timeout' must be a positive number")
+        numeric = isinstance(timeout, (int, float)) and not isinstance(timeout, bool)
+        # the bounds also refuse NaN and Infinity, which json accepts, and a
+        # timeout the socket layer cannot hold (it raises OverflowError there)
+        if not numeric or not 0 < timeout <= TIMEOUT_MAX:
+            raise ConfigError(
+                f"'http_timeout' must be a positive number of seconds, at most {TIMEOUT_MAX:.0f}"
+            )
         return cls(
             data=tuple(raw["data"]),
             provenance=tuple(raw["provenance"]),
@@ -101,7 +107,7 @@ class SourceConfig:
     def from_file(cls, path: str | Path) -> "SourceConfig":
         try:
             text = Path(path).read_text(encoding="utf-8")
-        except OSError as exc:
+        except (OSError, UnicodeDecodeError) as exc:
             raise ConfigError(f"cannot read configuration file {path}: {exc}")
         try:
             raw = json.loads(text)
@@ -148,7 +154,7 @@ def _read_file(location: str) -> GraphSet:
         )
     try:
         text = path.read_text(encoding="utf-8")
-    except OSError as exc:
+    except (OSError, UnicodeDecodeError) as exc:
         raise ConfigError(f"cannot read source file {location}: {exc}")
     try:
         return parse_document(text, fmt)

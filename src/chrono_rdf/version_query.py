@@ -2,22 +2,23 @@
 
 Answering a query against every past state of a dataset without a
 time-indexed store takes four steps.  First the query's triple patterns
-are classified: a pattern is joined when its subject is an IRI or its
-subject variable can reach, through shared terms, an IRI that sits in
-subject position somewhere in the query; otherwise it is isolated.
+are classified by the direction the chase follows: a pattern is joined
+when its subject is an IRI, or a variable that a joined pattern binds
+as its predicate or object; otherwise it is isolated.
 Second, the relevant entities are discovered.  Joined patterns start
 from the subject IRIs and recursively promote every IRI bound to a
 variable that appears in subject position, materialising versions as
 they go.  The chase runs through every joined pattern, OPTIONAL ones
 included, whose predicate or object is such a variable; it reads each
 version only through the quads those patterns could match, and skips a
-state the entity has already been chased through.  It follows patterns
-from subject to object only: an entity reached solely backwards, as the
-subject of a joined pattern whose object another pattern binds, is not
-discovered.  Isolated patterns, OPTIONAL ones included, cannot be
-chased that way, so their ground terms are looked up in the context's
-index of the terms every parsed stored update mentions, which also
-surfaces entities that no longer exist in the current data.
+state the entity has already been chased through.  Isolated patterns,
+OPTIONAL ones included, cannot be chased that way, so their ground
+terms are looked up in the context's index of the terms every parsed
+stored update mentions, which also surfaces entities that no longer
+exist in the current data.  A pattern that shares only a variable
+object or an IRI with the anchored ones (`?c cites ?b` next to
+`<e> cites ?b`) is isolated, so its ground terms alone pick its
+candidates: every entity that ever held a `cites` quad.
 Third, the versions are built narrowed to the quads some pattern of the
 query could match, variables counting as wildcards; BGP, OPTIONAL and
 FILTER read nothing else.  The chain walk narrows the present state and
@@ -35,7 +36,8 @@ projected key by key.  A key at which no row starts or stops holding
 shares the previous key's answer.
 
 An isolated pattern that carries no ground term at all would make the
-whole dataset relevant; a query holding one is rejected as unbounded.
+whole dataset relevant; a query holding one, `?c ?p ?b` next to
+`<e> cites ?b` included, is rejected as unbounded.
 Discovery also refuses to walk past the configured entity limit.
 """
 
@@ -79,47 +81,28 @@ class QueryPlan:
     subject_variables: frozenset[Variable]
 
 
-def _node(term) -> tuple[str, str]:
-    if isinstance(term, Variable):
-        return ("var", term.name)
-    return (term.kind, term.n3())
-
-
 def classify(query: ParsedQuery) -> QueryPlan:
-    """Split patterns into joined and isolated.
+    """Split patterns into joined and isolated, by the rule the chase follows.
 
-    Connectivity is computed over the undirected graph whose nodes are
-    the distinct terms of all patterns and whose edges link the three
-    positions of each pattern.  The result depends only on the set of
-    patterns, not their order.  Raises UnboundedQuery when some isolated
-    pattern holds no ground term.
+    A pattern is joined when its subject is an IRI, or a variable that a
+    joined pattern binds as its predicate or object; every other pattern
+    is isolated.  The result depends only on the set of patterns, not
+    their order.  Raises UnboundedQuery when some isolated pattern holds
+    no ground term.
     """
-    adjacency: dict[tuple[str, str], set[tuple[str, str]]] = {}
-    subject_iri_nodes: set[tuple[str, str]] = set()
-    for p in query.patterns:
-        nodes = [_node(p.subject), _node(p.predicate), _node(p.object)]
-        if isinstance(p.subject, Term) and p.subject.is_iri:
-            subject_iri_nodes.add(nodes[0])
-        for a in nodes:
-            adjacency.setdefault(a, set())
-            for b in nodes:
-                if a != b:
-                    adjacency[a].add(b)
+    reached: set[Variable] = set()
 
-    # the graph is undirected, so a pattern is joined exactly when one
-    # search from every subject IRI at once reaches its subject
-    reached = set(subject_iri_nodes)
-    frontier = list(reached)
-    while frontier:
-        for nxt in adjacency[frontier.pop()]:
-            if nxt not in reached:
-                reached.add(nxt)
-                frontier.append(nxt)
+    def is_joined(p: TriplePattern) -> bool:
+        return p.subject in reached or (isinstance(p.subject, Term) and p.subject.is_iri)
 
-    joined: list[TriplePattern] = []
-    isolated: list[TriplePattern] = []
-    for p in query.patterns:
-        (joined if _node(p.subject) in reached else isolated).append(p)
+    # grow the variables joined patterns bind until a pass adds none
+    size = -1
+    while size != len(reached):
+        size = len(reached)
+        for p in filter(is_joined, query.patterns):
+            reached.update(t for t in (p.predicate, p.object) if isinstance(t, Variable))
+    joined = [p for p in query.patterns if is_joined(p)]
+    isolated = [p for p in query.patterns if not is_joined(p)]
 
     if not all(tuple(p.ground_terms()) for p in isolated):
         raise UnboundedQuery(

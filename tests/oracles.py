@@ -1,15 +1,16 @@
 """Independent reference implementations the tests check the engine against.
 
 Everything here is written the dumbest correct way: full scans instead
-of indexes, union-find instead of graph search, version diffs instead of
-stored change sets.  Slow is fine; sharing code with the engine is not,
-with one exception: evaluate_every_key runs the engine's own discovery,
-alignment and evaluation, and rebuilds each discovered entity's versions
-in full through the engine's unnarrowed walk, so that it differs from
-the engine only in the two steps it is there to check.  CharScanner is
-the character-loop token reader the engine's parsers used before their
-readers became regular expressions; test_scanner.py plugs it into those
-parsers in place of rdf_model.Scanner.
+of indexes, a search over patterns instead of a fixpoint over variables,
+version diffs instead of stored change sets.  Slow is fine; sharing code
+with the engine is not, with one exception: evaluate_every_key runs the
+engine's own discovery, alignment and evaluation, and rebuilds each
+discovered entity's versions in full through the engine's unnarrowed
+walk, so that it differs from the engine only in the two steps it is
+there to check.  CharScanner is the character-loop token reader the
+engine's parsers used before their readers became regular expressions;
+test_scanner.py plugs it into those parsers in place of
+rdf_model.Scanner.
 """
 
 from __future__ import annotations
@@ -111,50 +112,33 @@ def solutions_counter(solutions: SolutionSet) -> Counter:
     return out
 
 
-class _UnionFind:
-    def __init__(self):
-        self.parent: dict = {}
-
-    def find(self, x):
-        self.parent.setdefault(x, x)
-        while self.parent[x] != x:
-            self.parent[x] = self.parent[self.parent[x]]
-            x = self.parent[x]
-        return x
-
-    def union(self, a, b):
-        ra, rb = self.find(a), self.find(b)
-        if ra != rb:
-            self.parent[ra] = rb
-
-
-def _key(term) -> tuple[str, str]:
-    if isinstance(term, Variable):
-        return ("var", term.name)
-    return (term.kind, term.n3())
-
-
 def oracle_classify(
     query: ParsedQuery,
 ) -> tuple[list[TriplePattern], list[TriplePattern]]:
-    """Union-find split into (joined, isolated) pattern lists."""
-    uf = _UnionFind()
-    subject_iris = set()
-    for p in query.patterns:
-        keys = [_key(p.subject), _key(p.predicate), _key(p.object)]
-        uf.union(keys[0], keys[1])
-        uf.union(keys[1], keys[2])
-        if isinstance(p.subject, Term) and p.subject.is_iri:
-            subject_iris.add(keys[0])
-    good_roots = {uf.find(k) for k in subject_iris}
-    joined, isolated = [], []
-    for p in query.patterns:
-        if isinstance(p.subject, Term) and p.subject.is_iri:
-            joined.append(p)
-        elif uf.find(_key(p.subject)) in good_roots:
-            joined.append(p)
-        else:
-            isolated.append(p)
+    """Depth-first split into (joined, isolated) pattern lists.
+
+    The search runs over patterns, not terms.  It starts from every
+    pattern whose subject is an IRI, and follows an edge p -> q when q's
+    subject is a variable that p holds as its predicate or object.
+    """
+    patterns = list(query.patterns)
+    stack = [
+        k for k, p in enumerate(patterns)
+        if isinstance(p.subject, Term) and p.subject.is_iri
+    ]
+    visited = set(stack)
+    while stack:
+        p = patterns[stack.pop()]
+        for k, q in enumerate(patterns):
+            if (
+                k not in visited
+                and isinstance(q.subject, Variable)
+                and q.subject in (p.predicate, p.object)
+            ):
+                visited.add(k)
+                stack.append(k)
+    joined = [p for k, p in enumerate(patterns) if k in visited]
+    isolated = [p for k, p in enumerate(patterns) if k not in visited]
     return joined, isolated
 
 

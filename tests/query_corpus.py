@@ -1,4 +1,4 @@
-"""Classification corpus: twelve queries with hand-worked expectations.
+"""Classification corpus: fourteen queries with hand-worked expectations.
 
 Each entry lists which pattern indexes (in parse order) are joined and
 which are isolated; `unbounded` marks the query that must be refused
@@ -74,7 +74,7 @@ CASES = [
     Case(
         "reached-backwards",
         f"SELECT ?c WHERE {{ <{E}> <{KNOWS}> ?b . ?c <{KNOWS}> ?b }}",
-        joined=(0, 1), isolated=(),
+        joined=(0,), isolated=(1,),
     ),
     Case(
         "literal-probe",
@@ -91,5 +91,15 @@ CASES = [
         "regex-over-island",
         f'SELECT ?id ?v WHERE {{ ?id <{VALUE}> ?v . FILTER REGEX(?v, "\\\\.$") }}',
         joined=(), isolated=(0,),
+    ),
+    Case(
+        "shared-predicate-island",
+        f"SELECT ?b ?c WHERE {{ <{E}> <{CITES}> ?b . ?c <{CITES}> <{E2}> }}",
+        joined=(0,), isolated=(1,),
+    ),
+    Case(
+        "anchored-object",
+        f"SELECT ?x ?id WHERE {{ ?x <{CITES}> <{E2}> . <{E2}> <{HAS_ID}> ?id }}",
+        joined=(1,), isolated=(0,),
     ),
 ]

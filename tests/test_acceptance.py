@@ -228,7 +228,7 @@ def test_criterion_3_materialization_against_the_ledger(big_world, announce):
 
 
 def test_criterion_4_classification_matches_the_oracle(announce):
-    assert len(CASES) == 12
+    assert len(CASES) == 14
     for case in CASES:
         parsed = parse_select(case.text)
         joined, isolated = oracle_classify(parsed)

@@ -18,6 +18,8 @@ from conftest import (
     WRONG_DOI,
 )
 
+from sparql_server import SparqlServer
+
 from chrono_rdf import Term, literal, materialize_at, parse_timestamp, quad, serialize
 from chrono_rdf.cli import main
 from chrono_rdf.sources import EndpointSource
@@ -416,6 +418,47 @@ class TestExitCodes:
         error = json.loads(captured.err)
         assert error["error"] == "NetworkError"
         assert "malformed term in results" in error["message"]
+
+    @pytest.mark.parametrize("kind", ["query", "source", "configuration"])
+    def test_file_that_is_not_utf8_is_3(self, capsys, doi_files, tmp_path, kind):
+        data_path, prov_path = doi_files
+        bad = tmp_path / "bad.nq"  # a suffix the source reader accepts
+        bad.write_bytes(b"\xff\xfe not UTF-8\n")
+        query = tmp_path / "q.rq"
+        query.write_text(VALUE_QUERY, encoding="utf-8")
+        config = tmp_path / "sources.json"
+        config.write_text(json.dumps({
+            "data": [str(bad if kind == "source" else data_path)],
+            "provenance": [str(prov_path)],
+        }), encoding="utf-8")
+        code = main([
+            "--config", str(bad if kind == "configuration" else config),
+            "query", "--file", str(bad if kind == "query" else query),
+        ])
+        captured = capsys.readouterr()
+        assert code == 3
+        assert captured.out == ""
+        error = json.loads(captured.err)
+        assert error["error"] == "ConfigError"
+        assert f"cannot read {kind} file {bad}" in error["message"]
+
+    def test_endpoint_timeout_too_large_for_a_socket_is_3(
+        self, capsys, doi_data, doi_provenance, tmp_path
+    ):
+        # requests would raise OverflowError from the socket it opened
+        with SparqlServer(doi_data, doi_provenance) as server:
+            path = tmp_path / "endpoint.json"
+            path.write_text(json.dumps({
+                "data": [server.url], "provenance": [server.url], "http_timeout": 1e12,
+            }), encoding="utf-8")
+            code = main(["--config", str(path), "materialize", ID, "--all"])
+        captured = capsys.readouterr()
+        assert code == 3
+        assert captured.out == ""
+        error = json.loads(captured.err)
+        assert error["error"] == "ConfigError"
+        assert "'http_timeout' must be a positive number of seconds" in error["message"]
+        assert server.requests_seen == 0
 
     def test_unbounded_query_is_4(self, capsys, config_path, monkeypatch):
         monkeypatch.setattr("sys.stdin", io.StringIO("SELECT * WHERE { ?s ?p ?o }"))

@@ -10,9 +10,10 @@ engine's single-version answer there.
 
 The shapes are those discovery once got wrong: an isolated pattern
 inside OPTIONAL, a chase that runs through OPTIONAL joined patterns,
-and an isolated pattern without any ground term, which must be refused.
-Two joins that discovery still gets wrong, because they bind an entity
-only as the subject of a backward join, are expected to fail.
+patterns that share only a variable object or an IRI with an anchored
+pattern (a backward join, its two-hop form, a work cited by the seed,
+and an island on the seed's predicate), and an isolated pattern without
+any ground term, which must be refused.
 """
 
 from __future__ import annotations
@@ -32,7 +33,6 @@ from chrono_rdf import (
     parse_select,
 )
 from chrono_rdf.benchgen import (
-    BASE_IRI,
     CITO_CITES,
     DATACITE_DOI,
     DATACITE_HAS_IDENTIFIER,
@@ -53,18 +53,29 @@ def _objects(state, predicate: str) -> list:
 
 
 def _queries(world, when) -> dict[str, str]:
-    """The queries, with a seed and a value chosen so that the shapes
-    discovery once got wrong have rows at `when`."""
+    """The queries, with a seed, an anchor and a value chosen so that
+    the shapes discovery once got wrong have rows at `when`."""
     states = {name: truth.version_at(when) for name, truth in sorted(world.ledger.entities.items())}
 
     def identified(work) -> bool:
         return any(_objects(states.get(i.value), LITERAL_HAS_VALUE)
                    for i in _objects(states.get(work.value), DATACITE_HAS_IDENTIFIER))
 
-    # a work citing a work whose identifier has a value
-    seed = next(
-        name for name, state in states.items()
-        if any(identified(cited) for cited in _objects(state, CITO_CITES))
+    # a work citing a work whose identifier has a value, and that work
+    seed, cited = next(
+        (name, cited.value)
+        for name, state in states.items()
+        for cited in _objects(state, CITO_CITES)
+        if identified(cited)
+    )
+    # a work citing a work that another work cites as well, and that work,
+    # so that the backward joins bind more than the anchor
+    citers = Counter(o.value for state in states.values() for o in _objects(state, CITO_CITES))
+    anchor, co_cited = next(
+        (name, o.value)
+        for name, state in states.items()
+        for o in _objects(state, CITO_CITES)
+        if citers[o.value] > 1
     )
     # the value of an identifier that does not use the orcid scheme
     value = next(
@@ -83,6 +94,21 @@ def _queries(world, when) -> dict[str, str]:
             f" OPTIONAL {{ ?br <{DATACITE_HAS_IDENTIFIER}> ?id ."
             f" ?id <{LITERAL_HAS_VALUE}> ?v }} }}"
         ),
+        "backward-join": (
+            f"SELECT ?b ?c WHERE {{ <{anchor}> <{CITO_CITES}> ?b . ?c <{CITO_CITES}> ?b }}"
+        ),
+        "backward-two-hop": (
+            f"SELECT ?b ?c ?id WHERE {{ <{anchor}> <{CITO_CITES}> ?b . ?c <{CITO_CITES}> ?b ."
+            f" ?c <{DATACITE_HAS_IDENTIFIER}> ?id }}"
+        ),
+        "cited-by-seed": (
+            f"SELECT ?c ?id WHERE {{ ?c <{CITO_CITES}> <{cited}> ."
+            f" <{cited}> <{DATACITE_HAS_IDENTIFIER}> ?id }}"
+        ),
+        "shared-predicate-island": (
+            f"SELECT ?b ?c WHERE {{ <{anchor}> <{CITO_CITES}> ?b ."
+            f" ?c <{CITO_CITES}> <{co_cited}> }}"
+        ),
         "known-subject": known_subject_query(seed),
         "scheme": scheme_query(),
         "value-regex": value_regex_query(),
@@ -98,7 +124,17 @@ def _intervals(world) -> dict[str, TimeInterval]:
     }
 
 
-QUERIES = ("optional-isolated", "chase-through-optional", "known-subject", "scheme", "value-regex")
+QUERIES = (
+    "optional-isolated",
+    "chase-through-optional",
+    "backward-join",
+    "backward-two-hop",
+    "cited-by-seed",
+    "shared-predicate-island",
+    "known-subject",
+    "scheme",
+    "value-regex",
+)
 
 
 @pytest.fixture(scope="module", params=["small_world", "big_world"])
@@ -139,30 +175,6 @@ def test_answers_equal_the_whole_ledger(world_case, which, interval_name):
     interval = intervals[interval_name]
     query = parse_select(_queries(world, interval.end)[which])
     wrong, checked = _wrong_times(world, ctx, query, interval)
-    assert not wrong, f"{len(wrong)} of {checked} times differ, first at {wrong[0]}"
-
-
-BACKWARD_JOINS = {
-    "backward-join": "SELECT ?b ?c WHERE {{ <{e}> <{cites}> ?b . ?c <{cites}> ?b }}",
-    "backward-two-hop": (
-        "SELECT ?b ?c ?id WHERE {{ <{e}> <{cites}> ?b . ?c <{cites}> ?b ."
-        " ?c <{has_id}> ?id }}"
-    ),
-}
-
-
-# Discovery promotes only IRIs bound to some pattern's subject variable,
-# so a ?c that only `?c cites ?b` binds is never materialised.  On the
-# small world, anchored on br/0, the answers differ at most ledger times;
-# the fix of that defect must turn these into passes.
-@pytest.mark.xfail(strict=True, reason="discovery does not follow a join backwards")
-@pytest.mark.parametrize("which", BACKWARD_JOINS)
-def test_backward_joins_equal_the_whole_ledger(small_world, which):
-    text = BACKWARD_JOINS[which].format(
-        e=BASE_IRI + "br/0", cites=CITO_CITES, has_id=DATACITE_HAS_IDENTIFIER
-    )
-    interval = _intervals(small_world)["open"]
-    wrong, checked = _wrong_times(small_world, small_world.context(), parse_select(text), interval)
     assert not wrong, f"{len(wrong)} of {checked} times differ, first at {wrong[0]}"
 
 

@@ -89,11 +89,15 @@ class TestSourceConfig:
             {"data": ["d.nq"], "provenance": ["p.nq"], "explosion_limit": 0},
             {"data": ["d.nq"], "provenance": ["p.nq"], "explosion_limit": True},
             {"data": ["d.nq"], "provenance": ["p.nq"], "http_timeout": 0},
+            {"data": ["d.nq"], "provenance": ["p.nq"], "http_timeout": float("nan")},
+            {"data": ["d.nq"], "provenance": ["p.nq"], "http_timeout": float("inf")},
+            {"data": ["d.nq"], "provenance": ["p.nq"], "http_timeout": 1e12},
         ],
         ids=[
             "unknown-key", "missing-data", "empty-data", "data-not-a-list",
             "empty-entry", "cache-dir-type", "text-index-type",
-            "limit-zero", "limit-bool", "timeout-zero",
+            "limit-zero", "limit-bool", "timeout-zero", "timeout-nan", "timeout-infinity",
+            "timeout-too-large",
         ],
     )
     def test_bad_mappings(self, raw):
@@ -109,6 +113,14 @@ class TestSourceConfig:
         path = tmp_path / "sources.json"
         path.write_text(json.dumps(self.GOOD), encoding="utf-8")
         assert SourceConfig.from_file(path).data == ("data.nq",)
+
+    @pytest.mark.parametrize("spelling", ["NaN", "Infinity"])
+    def test_from_file_refuses_a_timeout_that_is_not_finite(self, tmp_path, spelling):
+        # json reads both spellings as floats
+        path = tmp_path / "sources.json"
+        path.write_text(json.dumps(self.GOOD)[:-1] + f', "http_timeout": {spelling}}}', encoding="utf-8")
+        with pytest.raises(ConfigError, match="'http_timeout' must be a positive number"):
+            SourceConfig.from_file(path)
 
     def test_from_missing_file(self, tmp_path):
         with pytest.raises(ConfigError, match="cannot read"):

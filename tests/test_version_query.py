@@ -102,6 +102,12 @@ class TestClassify:
         with pytest.raises(UnboundedQuery, match="isolated"):
             plan_for("SELECT * WHERE { ?s ?p ?o }")
 
+    def test_backward_pattern_without_ground_terms_is_unbounded(self):
+        # ?c is bound by nothing, so `?c ?p ?b` is isolated although
+        # it shares ?b with the anchored pattern
+        with pytest.raises(UnboundedQuery, match="isolated"):
+            plan_for(f"SELECT ?c WHERE {{ <{E}> <{C_CITES}> ?b . ?c ?p ?b }}")
+
     def test_ground_predicate_is_enough_to_stay_bounded(self):
         # a lone predicate IRI gives the textual search something to hold on to
         plan = plan_for(f"SELECT ?s ?o WHERE {{ ?s <{VALUE}> ?o }}")
