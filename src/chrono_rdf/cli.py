@@ -15,6 +15,7 @@ import json
 import os
 import re
 import sys
+from contextlib import contextmanager
 from datetime import datetime, timezone
 from pathlib import Path
 
@@ -46,11 +47,12 @@ def _time_arg(end_of_day: bool) -> "callable":
 
 def _generated_at() -> str:
     epoch = os.environ.get("SOURCE_DATE_EPOCH")
-    if epoch is not None:
-        moment = datetime.fromtimestamp(int(epoch), tz=timezone.utc)
-    else:
-        moment = datetime.now(tz=timezone.utc)
-    return format_timestamp(moment)
+    if epoch is None:
+        return format_timestamp(datetime.now(tz=timezone.utc))
+    try:
+        return format_timestamp(datetime.fromtimestamp(int(epoch), tz=timezone.utc))
+    except (ValueError, OverflowError, OSError) as exc:
+        raise ConfigError(f"SOURCE_DATE_EPOCH is not a usable count of seconds: {exc}")
 
 
 def _term_json(term: Term) -> dict:
@@ -104,12 +106,13 @@ def _interval(args: argparse.Namespace) -> TimeInterval:
 
 
 def _read_query(args: argparse.Namespace) -> str:
-    if args.file == "-":
-        return sys.stdin.read()
+    source = "query from standard input" if args.file == "-" else f"query file {args.file}"
     try:
+        if args.file == "-":
+            return sys.stdin.buffer.read().decode("utf-8")
         return Path(args.file).read_text(encoding="utf-8")
     except (OSError, UnicodeDecodeError) as exc:
-        raise ConfigError(f"cannot read query file {args.file}: {exc}")
+        raise ConfigError(f"cannot read {source}: {exc}")
 
 
 def _cmd_materialize(args: argparse.Namespace) -> int:
@@ -200,16 +203,28 @@ def _cmd_delta(args: argparse.Namespace) -> int:
     return 0
 
 
-def _cmd_bench(args: argparse.Namespace) -> int:
-    from .benchgen import BenchReport, GenSpec, bench_run, generate
+@contextmanager
+def _writing(out: Path):
+    """Report a failed write under the output directory as a ConfigError."""
+    try:
+        yield
+    except OSError as exc:
+        raise ConfigError(f"cannot write to output directory {out}: {exc}")
 
-    spec = GenSpec(seed=args.seed, n_entities=args.entities)
-    world = generate(spec)
+
+def _cmd_bench(args: argparse.Namespace) -> int:
+    from .benchgen import GenSpec, bench_run, generate
+
     out = Path(args.out)
-    world.save(out, include_ledger=not args.no_ledger)
+    with _writing(out):
+        out.mkdir(parents=True, exist_ok=True)
+    world = generate(GenSpec(seed=args.seed, n_entities=args.entities))
+    with _writing(out):
+        world.save(out, include_ledger=not args.no_ledger)
     report = bench_run(world, repetitions=args.repetitions, subjects=args.subjects)
-    report.to_csv(out / "report.csv")
-    report.to_json(out / "report.json")
+    with _writing(out):
+        report.to_csv(out / "report.csv")
+        report.to_json(out / "report.json")
     _emit(
         {
             "out": str(out),

@@ -700,11 +700,11 @@ def parse_turtle(text: str, base: str | None = None) -> GraphSet:
         sc.expect(".")
 
 
-def parse_document(text: str, fmt: str, base: str | None = None) -> GraphSet:
+def parse_document(text: str, fmt: str) -> GraphSet:
     """Parse a document in the named format ("nquads" or "turtle")."""
     if fmt == "nquads":
         return parse_nquads(text)
     if fmt == "turtle":
-        return parse_turtle(text, base=base)
+        return parse_turtle(text)
     raise ValueError(f"unknown format {fmt!r}")
 

@@ -117,14 +117,6 @@ class SourceConfig:
             raise ConfigError("configuration must be a JSON object")
         return cls.from_mapping(raw)
 
-    def to_mapping(self) -> dict:
-        return {
-            "data": list(self.data),
-            "provenance": list(self.provenance),
-            "explosion_limit": self.explosion_limit,
-            "http_timeout": self.http_timeout,
-        }
-
 
 @dataclass(frozen=True)
 class DeltaRecord:

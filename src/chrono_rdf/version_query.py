@@ -5,20 +5,20 @@ time-indexed store takes four steps.  First the query's triple patterns
 are classified by the direction the chase follows: a pattern is joined
 when its subject is an IRI, or a variable that a joined pattern binds
 as its predicate or object; otherwise it is isolated.
-Second, the relevant entities are discovered.  Joined patterns start
-from the subject IRIs and recursively promote every IRI bound to a
-variable that appears in subject position, materialising versions as
-they go.  The chase runs through every joined pattern, OPTIONAL ones
-included, whose predicate or object is such a variable; it reads each
-version only through the quads those patterns could match, and skips a
-state the entity has already been chased through.  Isolated patterns,
-OPTIONAL ones included, cannot be chased that way, so their ground
-terms are looked up in the context's index of the terms every parsed
-stored update mentions, which also surfaces entities that no longer
-exist in the current data.  A pattern that shares only a variable
-object or an IRI with the anchored ones (`?c cites ?b` next to
-`<e> cites ?b`) is isolated, so its ground terms alone pick its
-candidates: every entity that ever held a `cites` quad.
+Second, the relevant entities are discovered in waves over one set.
+The ground terms of isolated patterns, OPTIONAL ones included, are
+looked up in the context's index of the terms every parsed stored
+update mentions, which also surfaces entities that no longer exist in
+the current data.  A pattern that shares only a variable object or an
+IRI with the anchored ones (`?c cites ?b` next to `<e> cites ?b`) is
+isolated, so its ground terms alone pick its candidates: every entity
+that ever held a `cites` quad.  Those entities and the subject IRIs
+are the first wave.  Each wave's versions are materialised, and every
+IRI they bind to a variable in subject position joins the next wave.
+The chase runs through every joined pattern, OPTIONAL ones included,
+whose predicate or object is such a variable; it reads each version
+only through the quads those patterns could match, and skips a state
+the entity has already been chased through.
 Third, the versions are built narrowed to the quads some pattern of the
 query could match, variables counting as wildcards; BGP, OPTIONAL and
 FILTER read nothing else.  The chain walk narrows the present state and
@@ -37,14 +37,14 @@ shares the previous key's answer.
 
 An isolated pattern that carries no ground term at all would make the
 whole dataset relevant; a query holding one, `?c ?p ?b` next to
-`<e> cites ?b` included, is rejected as unbounded.
-Discovery also refuses to walk past the configured entity limit.
+`<e> cites ?b` included, is rejected as unbounded.  The entity limit
+is checked before each wave, so a query that makes more entities
+relevant than it allows is refused before that wave walks any chain.
 """
 
 from __future__ import annotations
 
 from bisect import bisect_left
-from collections import deque
 from dataclasses import dataclass
 from datetime import datetime
 from functools import cached_property
@@ -172,14 +172,16 @@ def explicate(
     The chased patterns are the joined ones, OPTIONAL included, whose
     predicate or object is a subject variable: only they can promote an
     entity.  Every isolated pattern, OPTIONAL included, is looked up in
-    the term index and the current data.  With `at` each entity keeps
-    its one version live at that instant; otherwise every version in the
-    interval, plus the one live when it opens.  Every entity found is
-    materialised, except with `delta`: a delta query needs only the
-    entities' identity, so there versions are rebuilt just to run the
-    chase, and only when some pattern is chased; otherwise the seeds are
-    recorded unwalked.  Raises ExplosionLimit when more entities than
-    allowed turn up.
+    the term index and the current data.  The entities found and the
+    seeds are relevant and make the first wave; each later wave walks
+    the entities the previous one promoted that no wave has walked.
+    With `at` each entity keeps its one version live at that instant;
+    otherwise every version in the interval, plus the one live when it
+    opens.  With `delta` only the entities' identity is needed, so the
+    seeds are walked just to run the chase, and only when some pattern
+    is chased; the entities found are walked only once promoted.
+    Raises ExplosionLimit, before a wave walks anything, when more
+    entities are relevant than allowed.
     """
     subject_variables = plan.subject_variables
     chased = [
@@ -188,68 +190,54 @@ def explicate(
     ]
     reads_chased = readable_by(chased)
     reads = reads_chased if delta else readable_by(plan.joined + plan.isolated)
-    walk_seeds = bool(chased) or not delta
-    queue: deque[tuple[str, bool]] = deque((s, walk_seeds) for s in sorted(plan.seeds))
+    found: set[str] = set()
     postings = ctx.term_postings() if plan.isolated else {}
     for pattern in plan.isolated:
-        found = {e for e, _snap in search_deltas(pattern.ground_terms(), postings)}
+        found |= {e for e, _snap in search_deltas(pattern.ground_terms(), postings)}
         found |= ctx.match_subjects(pattern)
-        for entity in sorted(found):
-            queue.append((entity, not delta))
+    relevant = plan.seeds | found
+    wave = (plan.seeds if chased else frozenset()) if delta else relevant
 
-    versions: dict[str, tuple[VersionedGraph, ...] | None] = {}
+    versions: dict[str, tuple[VersionedGraph, ...]] = {}
     snapshots_involved = 0
-
-    while queue:
-        entity, materialize = queue.popleft()
-        if entity in versions:
-            if versions[entity] is not None or not materialize:
-                continue
-            # first found through the updates' terms, now reached through
-            # a joined pattern as well, so its versions are needed after all
-        elif len(versions) >= ctx.explosion_limit:
-            raise ExplosionLimit(ctx.explosion_limit)
-        if not materialize:
-            versions[entity] = None
-            continue
-        history = ctx.history(entity)
-        if history is None:
-            # without provenance the current graphs are one always-alive state
-            graphs = frozenset(filter(reads, ctx.entity_quads(entity)))
-            entity_versions = [VersionedGraph(entity, None, graphs, reconstructed=False)]
-        else:
-            chosen = select(history, interval, boundary=True, at=at)
-            entity_versions = []
-            if chosen:
-                entity_versions = rebuild(
-                    entity, ctx.entity_quads(entity), history, chosen, reads
-                )
-                # the walk rebuilt every version from chosen[0] up
-                snapshots_involved += len(history.snapshots) - chosen[0]
-        versions[entity] = tuple(entity_versions)
-        # versions with equal narrowed states bind the same IRIs
-        seen: set[GraphSet] = set()
-        for v in entity_versions:
-            state = frozenset(filter(reads_chased, v.graphs))
-            if not state or state in seen:
-                continue
-            seen.add(state)
-            index = TripleIndex(state)
-            for pattern in chased:
-                for binding, _stamp in match_pattern(pattern, {}, index):
-                    for var, term in binding.items():
-                        if (
-                            var in subject_variables
-                            and term.is_iri
-                            and versions.get(term.value, None) is None
-                        ):
-                            queue.append((term.value, True))
-
-    return Explication(
-        versions={e: v for e, v in versions.items() if v is not None},
-        relevant=frozenset(versions),
-        snapshots_involved=snapshots_involved,
-    )
+    while len(relevant) <= ctx.explosion_limit:
+        if not wave:
+            return Explication(versions, relevant, snapshots_involved)
+        promoted: set[str] = set()
+        for entity in sorted(wave):
+            history = ctx.history(entity)
+            if history is None:
+                # without provenance the current graphs are one always-alive state
+                graphs = frozenset(filter(reads, ctx.entity_quads(entity)))
+                entity_versions = [VersionedGraph(entity, None, graphs, reconstructed=False)]
+            else:
+                chosen = select(history, interval, boundary=True, at=at)
+                entity_versions = []
+                if chosen:
+                    entity_versions = rebuild(
+                        entity, ctx.entity_quads(entity), history, chosen, reads
+                    )
+                    # the walk rebuilt every version from chosen[0] up
+                    snapshots_involved += len(history.snapshots) - chosen[0]
+            versions[entity] = tuple(entity_versions)
+            # versions with equal narrowed states bind the same IRIs
+            seen: set[GraphSet] = set()
+            for v in entity_versions:
+                state = frozenset(filter(reads_chased, v.graphs))
+                if not state or state in seen:
+                    continue
+                seen.add(state)
+                index = TripleIndex(state)
+                for pattern in chased:
+                    for binding, _stamp in match_pattern(pattern, {}, index):
+                        promoted.update(
+                            term.value
+                            for var, term in binding.items()
+                            if var in subject_variables and term.is_iri
+                        )
+        relevant |= promoted
+        wave = promoted - versions.keys()
+    raise ExplosionLimit(ctx.explosion_limit)
 
 
 @dataclass(frozen=True)

@@ -44,6 +44,11 @@ def config_path(doi_files, tmp_path):
     return str(path)
 
 
+def stdin(data: bytes) -> io.TextIOWrapper:
+    """A standard input whose bytes the command reads through `.buffer`."""
+    return io.TextIOWrapper(io.BytesIO(data), encoding="utf-8")
+
+
 def run_json(capsys, argv):
     code = main(argv)
     captured = capsys.readouterr()
@@ -118,7 +123,7 @@ class TestQuery:
         assert ID in doc["relevant_entities"]
 
     def test_single_version_from_stdin(self, capsys, config_path, monkeypatch):
-        monkeypatch.setattr("sys.stdin", io.StringIO(VALUE_QUERY))
+        monkeypatch.setattr("sys.stdin", stdin(VALUE_QUERY.encode()))
         doc = run_json(capsys, [
             "--config", config_path, "query", "--file", "-",
             "--at", "2021-10-15T00:00:00",
@@ -282,7 +287,7 @@ class TestExitCodes:
         ["materialize", ID, "--all"],
     ], ids=["query", "delta", "materialize"])
     def test_from_after_to_is_2(self, capsys, config_path, monkeypatch, command):
-        monkeypatch.setattr("sys.stdin", io.StringIO(VALUE_QUERY))
+        monkeypatch.setattr("sys.stdin", stdin(VALUE_QUERY.encode()))
         code = main([
             "--config", config_path, *command,
             "--from", "2021-10-20", "--to", "2021-10-10",
@@ -298,7 +303,7 @@ class TestExitCodes:
         ["materialize", ID],
     ], ids=["query", "materialize"])
     def test_at_with_a_range_is_2(self, capsys, config_path, monkeypatch, command, flag):
-        monkeypatch.setattr("sys.stdin", io.StringIO(VALUE_QUERY))
+        monkeypatch.setattr("sys.stdin", stdin(VALUE_QUERY.encode()))
         code = main([
             "--config", config_path, *command,
             "--at", "2021-10-15T00:00:00", flag, "2021-10-12",
@@ -460,8 +465,29 @@ class TestExitCodes:
         assert "'http_timeout' must be a positive number of seconds" in error["message"]
         assert server.requests_seen == 0
 
+    def test_query_on_stdin_that_is_not_utf8_is_3(self, capsys, config_path, monkeypatch):
+        monkeypatch.setattr("sys.stdin", stdin(b"\xff\xfe SELECT"))
+        code = main(["--config", config_path, "query", "--file", "-"])
+        captured = capsys.readouterr()
+        assert code == 3
+        assert captured.out == ""
+        error = json.loads(captured.err)
+        assert error["error"] == "ConfigError"
+        assert error["message"].startswith("cannot read query from standard input: ")
+
+    @pytest.mark.parametrize("epoch", ["abc", "99999999999999"])
+    def test_unusable_source_date_epoch_is_3(self, capsys, config_path, monkeypatch, epoch):
+        monkeypatch.setenv("SOURCE_DATE_EPOCH", epoch)
+        code = main(["--config", config_path, "materialize", ID, "--at", "2021-10-15"])
+        captured = capsys.readouterr()
+        assert code == 3
+        assert captured.out == ""
+        error = json.loads(captured.err)
+        assert error["error"] == "ConfigError"
+        assert "SOURCE_DATE_EPOCH" in error["message"]
+
     def test_unbounded_query_is_4(self, capsys, config_path, monkeypatch):
-        monkeypatch.setattr("sys.stdin", io.StringIO("SELECT * WHERE { ?s ?p ?o }"))
+        monkeypatch.setattr("sys.stdin", stdin(b"SELECT * WHERE { ?s ?p ?o }"))
         code = main(["--config", config_path, "query", "--file", "-"])
         captured = capsys.readouterr()
         assert code == 4
@@ -517,3 +543,14 @@ class TestBench:
         assert code == 2
         assert usage_error(capsys) == f"{flag} must be at least 1"
         assert not out.exists()
+
+    def test_output_under_a_regular_file_is_3(self, capsys, tmp_path):
+        blocker = tmp_path / "file"
+        blocker.write_text("", encoding="utf-8")
+        code = main(["bench", "--out", str(blocker / "sub"), "--entities", "24"])
+        captured = capsys.readouterr()
+        assert code == 3
+        assert captured.out == ""
+        error = json.loads(captured.err)
+        assert error["error"] == "ConfigError"
+        assert error["message"].startswith(f"cannot write to output directory {blocker / 'sub'}: ")

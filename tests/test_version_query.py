@@ -41,6 +41,7 @@ from chrono_rdf import (
     VersionedGraph,
     align_and_merge,
     classify,
+    execute_delta_query,
     execute_version_query,
     iri,
     literal,
@@ -62,6 +63,7 @@ from chrono_rdf.benchgen import (
     known_subject_query,
     scheme_query,
 )
+from chrono_rdf.materializer import delta_applications
 from chrono_rdf.provenance import (
     GENERATED_AT_TIME,
     OCO_HAS_UPDATE_QUERY,
@@ -533,6 +535,48 @@ class TestSmallWorldQueries:
         ctx = small_world.context(explosion_limit=2)
         with pytest.raises(ExplosionLimit):
             execute_version_query(parse_select(scheme_query()), ctx)
+
+
+def _limit_query(world: GeneratedWorld, shape: str) -> str:
+    citing = min(e for e in world.ledger.entities if "/br/" in e)
+    if shape == "isolated":
+        return scheme_query()
+    if shape == "known-subject":
+        return known_subject_query(citing)
+    return f"SELECT ?b ?c WHERE {{ <{citing}> <{CITO_CITES}> ?b . ?c <{CITO_CITES}> ?b }}"
+
+
+def _run(text: str, ctx, delta: bool):
+    if delta:
+        return execute_delta_query(text, ctx)
+    return execute_version_query(text, ctx)
+
+
+class TestExplosionLimit:
+    """The limit counts relevant entities, and is checked before each wave."""
+
+    @pytest.mark.parametrize("delta", [False, True], ids=["version", "delta"])
+    @pytest.mark.parametrize("query", ["isolated", "backward-join"])
+    def test_refused_before_any_walk(self, small_world, query, delta):
+        text = _limit_query(small_world, query)
+        relevant = _run(text, small_world.context(), delta).relevant_entities
+        ctx = small_world.context(explosion_limit=len(relevant) - 1)
+        before = delta_applications.count
+        with pytest.raises(ExplosionLimit):
+            _run(text, ctx, delta)
+        assert ctx._histories == {}
+        assert delta_applications.count == before
+
+    @pytest.mark.parametrize("delta", [False, True], ids=["version", "delta"])
+    @pytest.mark.parametrize("query", ["known-subject", "backward-join"])
+    def test_the_limit_is_the_relevant_count(self, small_world, query, delta):
+        text = _limit_query(small_world, query)
+        relevant = _run(text, small_world.context(), delta).relevant_entities
+        assert len(relevant) > 2
+        ctx = small_world.context(explosion_limit=len(relevant))
+        assert _run(text, ctx, delta).relevant_entities == relevant
+        with pytest.raises(ExplosionLimit):
+            _run(text, small_world.context(explosion_limit=len(relevant) - 1), delta)
 
 
 def _corpus_in(world: GeneratedWorld) -> tuple[str, dict[str, str]]:
