@@ -85,9 +85,33 @@ def _snapshot_json(snapshot: Snapshot | None) -> dict | None:
     }
 
 
+def _write_out(text: str) -> None:
+    """Write to stdout and flush; a failed write is a ConfigError.
+
+    A buffered write that a closing pipe cuts short returns a short
+    count instead of raising, hence the loop.  After a failure stdout
+    points at the null device, so the flush at exit cannot fail again
+    (the Python docs' "Note on SIGPIPE").
+    """
+    out = sys.stdout
+    if out is None:
+        raise ConfigError("cannot write to standard output: it is closed")
+    try:
+        out.flush()
+        data = memoryview(text.encode(out.encoding, out.errors))
+        while data:
+            data = data[out.buffer.write(data):]
+        out.buffer.flush()
+    except OSError as exc:
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, out.fileno())
+        os.close(devnull)
+        raise ConfigError(f"cannot write to standard output: {exc}")
+
+
 def _emit(document: dict) -> None:
     document["generated_at"] = _generated_at()
-    print(json.dumps(document, indent=2, sort_keys=True))
+    _write_out(json.dumps(document, indent=2, sort_keys=True) + "\n")
 
 
 def _load_context(args: argparse.Namespace) -> Context:
@@ -109,6 +133,8 @@ def _read_query(args: argparse.Namespace) -> str:
     source = "query from standard input" if args.file == "-" else f"query file {args.file}"
     try:
         if args.file == "-":
+            if sys.stdin is None:
+                raise ConfigError(f"cannot read {source}: it is closed")
             return sys.stdin.buffer.read().decode("utf-8")
         return Path(args.file).read_text(encoding="utf-8")
     except (OSError, UnicodeDecodeError) as exc:
@@ -124,7 +150,7 @@ def _cmd_materialize(args: argparse.Namespace) -> int:
     if args.at is not None:
         version = materialize_at(entity, args.at, ctx.entity_quads(entity), history).version
         if args.format == "nquads":
-            sys.stdout.write(serialize(version.graphs))
+            _write_out(serialize(version.graphs))
             return 0
         _emit(
             {

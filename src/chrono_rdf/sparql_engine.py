@@ -727,6 +727,108 @@ def evaluate(
     return answers[0] if keys is None else answers
 
 
+def _read_update_term(
+    sc: Scanner, terms: TermTable, blank_scope: str | None, position: str
+) -> Term:
+    """One subject, predicate or object term of a ground update."""
+    sc.skip_space()
+    ch = sc.peek()
+    pos = sc.pos
+    if ch and ch in "?$":
+        raise VariableInDelta(f"variable in update text at offset {pos}")
+    if ch == "<":
+        return read_iri_term(sc, terms, "relative IRI {!r} in update text")
+    if ch == "_" and sc.peek(1) == ":":
+        label = sc.read_blank_label()
+        if blank_scope:
+            label = f"{blank_scope}_{label}"
+        return Term("blank", label)
+    if ch and ch in "\"'":
+        if position != "object":
+            raise sc.error(f"literal in {position} position")
+        value = sc.read_string()
+        if sc.peek() == "@":
+            key = (value, None, sc.read_langtag())
+        elif sc.peek() == "^" and sc.peek(1) == "^":
+            sc.pos += 2
+            sc.skip_space()
+            if sc.peek() != "<":
+                word = sc.read_word()
+                if ":" in word:
+                    raise PrefixInDelta(f"prefixed datatype {word!r} in update text")
+                raise sc.error("expected a datatype IRI")
+            dt = read_iri_term(sc, terms, "relative datatype IRI {!r}").value
+            key = (value, dt, None)
+        else:
+            key = (value, XSD_STRING, None)
+    elif ch.isdigit() or (ch in "+-" and sc.peek(1).isdigit()):
+        if position != "object":
+            raise sc.error(f"numeric literal in {position} position")
+        key = read_number(sc)
+    else:
+        word = sc.read_word()
+        if word == "a" and position == "predicate":
+            key = RDF_TYPE
+        elif word in ("true", "false") and position == "object":
+            key = (word, XSD_BOOLEAN, None)
+        elif ":" in word:
+            raise PrefixInDelta(f"prefixed name {word!r} in update text")
+        else:
+            raise sc.error(
+                f"expected a {position} term" + (f", found {word!r}" if word else "")
+            )
+    return terms.get(key) or intern_term(terms, key)
+
+
+def _read_update_block(
+    sc: Scanner, terms: TermTable, blank_scope: str | None, target: list[Quad]
+) -> None:
+    """The triples of one DATA block up to its closing brace, left unread.
+
+    GRAPH groups cannot nest, so the one group open at a time is the
+    only state the loop keeps.
+    """
+    graph: str | None = None
+    while True:
+        sc.skip_space()
+        if sc.peek() == "}":
+            if graph is None:
+                return
+            sc.pos += 1
+            graph = None
+            continue
+        if sc.at_end():
+            raise sc.error("unterminated block in update text")
+        mark = sc.pos
+        if sc.peek().isalpha():
+            word = sc.read_word()
+            if word.upper() == "GRAPH":
+                if graph is not None:
+                    raise sc.error("nested GRAPH in update text")
+                sc.skip_space()
+                if sc.peek() and sc.peek() in "?$":
+                    raise VariableInDelta("variable graph name in update text")
+                if sc.peek() != "<":
+                    inner = sc.read_word()
+                    if ":" in inner:
+                        raise PrefixInDelta(f"prefixed graph name {inner!r}")
+                    raise sc.error("expected a graph IRI")
+                graph = read_iri_term(sc, terms, "relative graph IRI {!r}").value
+                sc.skip_space()
+                sc.expect("{")
+                continue
+            sc.pos = mark
+        s = _read_update_term(sc, terms, blank_scope, "subject")
+        p = _read_update_term(sc, terms, blank_scope, "predicate")
+        if not p.is_iri:
+            raise sc.error("predicate must be an IRI")
+        o = _read_update_term(sc, terms, blank_scope, "object")
+        target.append(Quad(Triple(s, p, o), graph))
+        sc.skip_space()
+        if sc.peek() == ".":
+            sc.pos += 1
+
+
 def parse_update(
     text: str, blank_scope: str | None = None, terms: TermTable | None = None
 ) -> Delta:
@@ -745,99 +847,13 @@ def parse_update(
     or literal, each checked once.  A token that fails its check is not
     entered, so a failed parse leaves the table usable.  Blank nodes are
     never entered.  Without a table, terms are shared within this update.
+    The readers take their state as arguments, so a parse leaves no
+    reference cycle for the collector to free.
     """
     sc = Scanner(text)
     deletes: list[Quad] = []
     inserts: list[Quad] = []
     terms = {} if terms is None else terms
-
-    def read_term(position: str) -> Term:
-        sc.skip_space()
-        ch = sc.peek()
-        pos = sc.pos
-        if ch and ch in "?$":
-            raise VariableInDelta(f"variable in update text at offset {pos}")
-        if ch == "<":
-            return read_iri_term(sc, terms, "relative IRI {!r} in update text")
-        if ch == "_" and sc.peek(1) == ":":
-            label = sc.read_blank_label()
-            if blank_scope:
-                label = f"{blank_scope}_{label}"
-            return Term("blank", label)
-        if ch and ch in "\"'":
-            if position != "object":
-                raise sc.error(f"literal in {position} position")
-            value = sc.read_string()
-            if sc.peek() == "@":
-                key = (value, None, sc.read_langtag())
-            elif sc.peek() == "^" and sc.peek(1) == "^":
-                sc.pos += 2
-                sc.skip_space()
-                if sc.peek() != "<":
-                    word = sc.read_word()
-                    if ":" in word:
-                        raise PrefixInDelta(f"prefixed datatype {word!r} in update text")
-                    raise sc.error("expected a datatype IRI")
-                dt = read_iri_term(sc, terms, "relative datatype IRI {!r}").value
-                key = (value, dt, None)
-            else:
-                key = (value, XSD_STRING, None)
-        elif ch.isdigit() or (ch in "+-" and sc.peek(1).isdigit()):
-            if position != "object":
-                raise sc.error(f"numeric literal in {position} position")
-            key = read_number(sc)
-        else:
-            word = sc.read_word()
-            if word == "a" and position == "predicate":
-                key = RDF_TYPE
-            elif word in ("true", "false") and position == "object":
-                key = (word, XSD_BOOLEAN, None)
-            elif ":" in word:
-                raise PrefixInDelta(f"prefixed name {word!r} in update text")
-            else:
-                raise sc.error(
-                    f"expected a {position} term" + (f", found {word!r}" if word else "")
-                )
-        return terms.get(key) or intern_term(terms, key)
-
-    def read_triples(target: list[Quad], graph: str | None, stop: str) -> None:
-        while True:
-            sc.skip_space()
-            if sc.peek() == stop:
-                return
-            if sc.at_end():
-                raise sc.error("unterminated block in update text")
-            mark = sc.pos
-            if sc.peek().isalpha():
-                word = sc.read_word()
-                if word.upper() == "GRAPH":
-                    if graph is not None:
-                        raise sc.error("nested GRAPH in update text")
-                    sc.skip_space()
-                    if sc.peek() and sc.peek() in "?$":
-                        raise VariableInDelta("variable graph name in update text")
-                    if sc.peek() != "<":
-                        inner = sc.read_word()
-                        if ":" in inner:
-                            raise PrefixInDelta(f"prefixed graph name {inner!r}")
-                        raise sc.error("expected a graph IRI")
-                    g = read_iri_term(sc, terms, "relative graph IRI {!r}").value
-                    sc.skip_space()
-                    sc.expect("{")
-                    read_triples(target, g, "}")
-                    sc.expect("}")
-                    continue
-                sc.pos = mark
-            s = read_term("subject")
-            p = read_term("predicate")
-            if not p.is_iri:
-                raise sc.error("predicate must be an IRI")
-            o = read_term("object")
-            target.append(Quad(Triple(s, p, o), graph))
-            sc.skip_space()
-            if sc.peek() == ".":
-                sc.pos += 1
-
     while True:
         sc.skip_space()
         if sc.at_end():
@@ -858,7 +874,7 @@ def parse_update(
             )
         sc.skip_space()
         sc.expect("{")
-        read_triples(deletes if upper == "DELETE" else inserts, None, "}")
+        _read_update_block(sc, terms, blank_scope, deletes if upper == "DELETE" else inserts)
         sc.expect("}")
         sc.skip_space()
         if sc.peek() == ";":

@@ -16,9 +16,10 @@ that ever held a `cites` quad.  Those entities and the subject IRIs
 are the first wave.  Each wave's versions are materialised, and every
 IRI they bind to a variable in subject position joins the next wave.
 The chase runs through every joined pattern, OPTIONAL ones included,
-whose predicate or object is such a variable; it reads each version
-only through the quads those patterns could match, and skips a state
-the entity has already been chased through.
+whose predicate or object is such a variable.  It reads each version
+only through the quads those patterns could match, and matches them
+once per wave over the union of those quads: a single pattern matched
+on its own binds over a union of states what it binds over each state.
 Third, the versions are built narrowed to the quads some pattern of the
 query could match, variables counting as wildcards; BGP, OPTIONAL and
 FILTER read nothing else.  The chain walk narrows the present state and
@@ -175,6 +176,9 @@ def explicate(
     the term index and the current data.  The entities found and the
     seeds are relevant and make the first wave; each later wave walks
     the entities the previous one promoted that no wave has walked.
+    Each wave matches every chased pattern once, over the union of its
+    versions' quads the chased patterns could match: a pattern matched
+    on its own binds over a union what it binds over each part.
     With `at` each entity keeps its one version live at that instant;
     otherwise every version in the interval, plus the one live when it
     opens.  With `delta` only the entities' identity is needed, so the
@@ -203,7 +207,7 @@ def explicate(
     while len(relevant) <= ctx.explosion_limit:
         if not wave:
             return Explication(versions, relevant, snapshots_involved)
-        promoted: set[str] = set()
+        chased_quads: set[Quad] = set()
         for entity in sorted(wave):
             history = ctx.history(entity)
             if history is None:
@@ -220,21 +224,14 @@ def explicate(
                     # the walk rebuilt every version from chosen[0] up
                     snapshots_involved += len(history.snapshots) - chosen[0]
             versions[entity] = tuple(entity_versions)
-            # versions with equal narrowed states bind the same IRIs
-            seen: set[GraphSet] = set()
-            for v in entity_versions:
-                state = frozenset(filter(reads_chased, v.graphs))
-                if not state or state in seen:
-                    continue
-                seen.add(state)
-                index = TripleIndex(state)
-                for pattern in chased:
-                    for binding, _stamp in match_pattern(pattern, {}, index):
-                        promoted.update(
-                            term.value
-                            for var, term in binding.items()
-                            if var in subject_variables and term.is_iri
-                        )
+            chased_quads.update(q for v in entity_versions for q in v.graphs if reads_chased(q))
+        promoted: set[str] = set()
+        if chased_quads:
+            index = TripleIndex(chased_quads)
+            for pattern in chased:
+                for binding, _stamp in match_pattern(pattern, {}, index):
+                    promoted.update(term.value for var, term in binding.items()
+                                    if var in subject_variables and term.is_iri)
         relevant |= promoted
         wave = promoted - versions.keys()
     raise ExplosionLimit(ctx.explosion_limit)

@@ -148,6 +148,11 @@ def oracle_select(history, interval=UNBOUNDED, boundary=False, at=None) -> tuple
     snapshot inside the interval, plus, with `boundary` and a start, the
     last one generated at or before the start."""
     times = [s.generated_at for s in history.snapshots]
+    return oracle_select_times(times, interval, boundary, at)
+
+
+def oracle_select_times(times, interval=UNBOUNDED, boundary=False, at=None) -> tuple[int, ...]:
+    """oracle_select over the snapshot times alone, oldest first."""
     if at is not None:
         live = [k for k, t in enumerate(times) if t <= at]
         return (live[-1],) if live else ()
@@ -162,6 +167,47 @@ def oracle_select(history, interval=UNBOUNDED, boundary=False, at=None) -> tuple
         if live:
             chosen.add(live[-1])
     return tuple(sorted(chosen))
+
+
+def oracle_relevant(
+    query: ParsedQuery, entities: Mapping, interval=UNBOUNDED, at=None
+) -> frozenset[str]:
+    """The relevant entities of a query with no isolated pattern, from
+    the ledger's versions alone.
+
+    The walk starts from every IRI in subject position.  For each entity
+    reached it reads the ledger versions a request reads (oracle_select's
+    rule, the version live when the interval opens included, or the one
+    live at `at`), matches every chased pattern, OPTIONAL ones included,
+    against each quad on its own, and reaches every IRI the match binds
+    to a variable some pattern holds as its subject.  A chased pattern
+    is a joined one (oracle_classify) whose predicate or object is such
+    a variable.
+    """
+    joined, isolated = oracle_classify(query)
+    assert not isolated, "the walk covers queries without isolated patterns"
+    subject_names = {p.subject.name for p in query.patterns if isinstance(p.subject, Variable)}
+    chased = [
+        p for p in joined
+        if any(isinstance(t, Variable) and t.name in subject_names for t in (p.predicate, p.object))
+    ]
+    reached = {
+        p.subject.value for p in query.patterns if isinstance(p.subject, Term) and p.subject.is_iri
+    }
+    todo = sorted(reached)
+    while todo:
+        truth = entities.get(todo.pop())
+        if truth is None:
+            continue
+        for k in oracle_select_times(truth.times, interval, boundary=True, at=at):
+            for q in truth.versions[k]:
+                for p in chased:
+                    for env in _solutions([p], [q], {}):
+                        for name, term in env.items():
+                            if name in subject_names and term.is_iri and term.value not in reached:
+                                reached.add(term.value)
+                                todo.append(term.value)
+    return frozenset(reached)
 
 
 def version_diffs(times, versions) -> list[tuple]:

@@ -1,9 +1,14 @@
-"""The command line, run in process through main(argv)."""
+"""The command line, run in process through main(argv), and in a fresh
+interpreter where a test needs standard streams of its own."""
 
 from __future__ import annotations
 
 import io
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -20,6 +25,7 @@ from conftest import (
 
 from sparql_server import SparqlServer
 
+import chrono_rdf
 from chrono_rdf import Term, literal, materialize_at, parse_timestamp, quad, serialize
 from chrono_rdf.cli import main
 from chrono_rdf.sources import EndpointSource
@@ -47,6 +53,23 @@ def config_path(doi_files, tmp_path):
 def stdin(data: bytes) -> io.TextIOWrapper:
     """A standard input whose bytes the command reads through `.buffer`."""
     return io.TextIOWrapper(io.BytesIO(data), encoding="utf-8")
+
+
+def run_cli(argv, **streams) -> subprocess.CompletedProcess:
+    """`python -m chrono_rdf.cli` with the given standard streams."""
+    src = str(Path(chrono_rdf.__file__).resolve().parents[1])
+    return subprocess.run(
+        [sys.executable, "-m", "chrono_rdf.cli", *argv],
+        env={**os.environ, "PYTHONPATH": src}, stderr=subprocess.PIPE, text=True, **streams,
+    )
+
+
+def stream_error(done: subprocess.CompletedProcess) -> str:
+    """The message of the one ConfigError object a failed stream leaves."""
+    assert done.returncode == 3, done.stderr
+    error = json.loads(done.stderr)
+    assert error["error"] == "ConfigError"
+    return error["message"]
 
 
 def run_json(capsys, argv):
@@ -492,6 +515,40 @@ class TestExitCodes:
         captured = capsys.readouterr()
         assert code == 4
         assert json.loads(captured.err)["error"] == "UnboundedQuery"
+
+    @pytest.fixture()
+    def query_argv(self, config_path, tmp_path):
+        path = tmp_path / "value.rq"
+        path.write_text(VALUE_QUERY, encoding="utf-8")
+        return ["--config", config_path, "query", "--file", str(path)]
+
+    def test_closed_stdin_is_3(self, config_path):
+        done = run_cli(["--config", config_path, "query", "--file", "-"],
+                       stdout=subprocess.DEVNULL, preexec_fn=lambda: os.close(0))
+        assert stream_error(done) == "cannot read query from standard input: it is closed"
+
+    @pytest.mark.skipif(not os.path.exists("/dev/full"), reason="no /dev/full device")
+    @pytest.mark.parametrize("command", ["query", "nquads"])
+    def test_full_stdout_is_3(self, config_path, query_argv, command):
+        argv = query_argv if command == "query" else [
+            "--config", config_path, "materialize", ID, "--at", FIXED_AT, "--format", "nquads"
+        ]
+        with open("/dev/full", "w", encoding="utf-8") as full:
+            done = run_cli(argv, stdout=full)
+        assert stream_error(done).startswith("cannot write to standard output: ")
+
+    def test_stdout_into_a_closed_pipe_is_3(self, query_argv):
+        read_end, write_end = os.pipe()
+        os.close(read_end)
+        try:
+            done = run_cli(query_argv, stdout=write_end)
+        finally:
+            os.close(write_end)
+        assert stream_error(done).startswith("cannot write to standard output: ")
+
+    def test_closed_stdout_is_3(self, query_argv):
+        done = run_cli(query_argv, preexec_fn=lambda: os.close(1))
+        assert stream_error(done) == "cannot write to standard output: it is closed"
 
 
 class TestDeterminism:

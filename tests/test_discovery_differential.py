@@ -14,6 +14,11 @@ patterns that share only a variable object or an IRI with an anchored
 pattern (a backward join, its two-hop form, a work cited by the seed,
 and an island on the seed's predicate), and an isolated pattern without
 any ground term, which must be refused.
+
+The relevant entities of the shapes without isolated patterns are
+checked on their own against oracles.oracle_relevant, a walk over the
+ledger's versions that shares no engine code, in cross-version,
+single-version and delta mode.
 """
 
 from __future__ import annotations
@@ -23,11 +28,19 @@ from collections import Counter
 
 import pytest
 
-from oracles import answers_over_time, brute_evaluate, dataset_brute, solutions_counter
+from oracles import (
+    answers_over_time,
+    brute_evaluate,
+    dataset_brute,
+    oracle_relevant,
+    solutions_counter,
+)
 
 from chrono_rdf import (
     TimeInterval,
+    UNBOUNDED,
     UnboundedQuery,
+    execute_delta_query,
     execute_version_query,
     format_timestamp,
     parse_select,
@@ -176,6 +189,25 @@ def test_answers_equal_the_whole_ledger(world_case, which, interval_name):
     query = parse_select(_queries(world, interval.end)[which])
     wrong, checked = _wrong_times(world, ctx, query, interval)
     assert not wrong, f"{len(wrong)} of {checked} times differ, first at {wrong[0]}"
+
+
+@pytest.mark.parametrize("mode", ["version", "at", "delta"])
+@pytest.mark.parametrize("interval_name", ["open", "closed"])
+@pytest.mark.parametrize("which", ["known-subject", "chase-through-optional"])
+def test_relevant_entities_equal_the_ledger_walk(world_case, which, interval_name, mode):
+    world, ctx, intervals = world_case
+    interval = intervals[interval_name]
+    query = parse_select(_queries(world, interval.end)[which])
+    if mode == "at":
+        # one instant of the interval: its start when it has one
+        at = interval.start or interval.end
+        got = execute_version_query(query, ctx, at=at).relevant_entities
+        expected = oracle_relevant(query, world.ledger.entities, UNBOUNDED, at=at)
+    else:
+        run = execute_delta_query if mode == "delta" else execute_version_query
+        got = run(query, ctx, interval=interval).relevant_entities
+        expected = oracle_relevant(query, world.ledger.entities, interval)
+    assert got == expected
 
 
 def test_an_isolated_pattern_without_ground_terms_is_refused(world_case):

@@ -1,6 +1,10 @@
-"""Query parsing, evaluation against a brute-force oracle, update parsing."""
+"""Query parsing, evaluation against a brute-force oracle, update parsing,
+and the reference cycles update parsing must not leave."""
 
 from __future__ import annotations
+
+import gc
+import types
 
 import pytest
 from hypothesis import given, settings
@@ -14,6 +18,8 @@ from chrono_rdf import (
     UnsupportedFeature,
     VariableInDelta,
     evaluate,
+    execute_delta_query,
+    execute_version_query,
     format_query,
     iri,
     literal,
@@ -21,6 +27,7 @@ from chrono_rdf import (
     parse_update,
     quad,
 )
+from chrono_rdf.benchgen import known_subject_query
 from chrono_rdf.sparql_engine import Variable
 
 from oracles import brute_evaluate, solutions_counter
@@ -283,3 +290,58 @@ class TestParseUpdate:
     def test_empty_update(self):
         delta = parse_update("DELETE DATA { }; INSERT DATA { }")
         assert delta.is_empty
+
+    def test_default_graph_after_a_graph_group(self):
+        text = (
+            "INSERT DATA { GRAPH <http://g.example/> {"
+            " <http://s.example/> <http://p.example/> <http://o.example/> }"
+            " <http://s.example/> <http://p.example/> <http://o2.example/> }"
+        )
+        graphs = [q.graph for q in parse_update(text).inserts]
+        assert graphs == ["http://g.example/", None]
+
+    @pytest.mark.parametrize("text, error, message", [
+        ("INSERT DATA { GRAPH <http://g.example/> { GRAPH <http://h.example/> { } } }",
+         ParseError, "nested GRAPH in update text"),
+        ("INSERT DATA { <http://s.example/> <http://p.example/> <http://o.example/>",
+         ParseError, "unterminated block in update text"),
+        ("INSERT DATA { GRAPH <http://g.example/> { <http://s.example/> <http://p.example/> 1",
+         ParseError, "unterminated block in update text"),
+        ("INSERT DATA { GRAPH ?g { } }", VariableInDelta, "variable graph name in update text"),
+        ("INSERT DATA { GRAPH ex:g { } }", PrefixInDelta, "prefixed graph name 'ex:g'"),
+        ("INSERT DATA { GRAPH { } }", ParseError, "expected a graph IRI"),
+    ])
+    def test_malformed_blocks(self, text, error, message):
+        with pytest.raises(error, match=message):
+            parse_update(text)
+
+
+def _of_the_package(o) -> bool:
+    module = o.__module__ if isinstance(o, types.FunctionType) else type(o).__module__
+    return module.startswith("chrono_rdf")
+
+
+def test_a_ready_context_leaves_no_reference_cycle(small_world):
+    # every parsed update is freed by reference counting alone, so a set-up
+    # leaves nothing for the cycle collector to walk and free.  Only the
+    # package's objects count: a server thread of another test can end, and
+    # leave its own cycle, while this test runs
+    entity = sorted(small_world.ledger.entities)[0]
+    query = known_subject_query(entity)
+    gc.collect()
+    gc.disable()
+    try:
+        ctx = small_world.context()
+        for name in small_world.ledger.entities:
+            ctx.history(name)
+        ctx.term_postings()
+        execute_version_query(query, ctx)
+        execute_delta_query(query, ctx)
+        gc.set_debug(gc.DEBUG_SAVEALL)
+        gc.collect()
+        leaked = [o for o in gc.garbage if _of_the_package(o)]
+        assert not leaked, f"{len(leaked)} unreachable objects, among them {leaked[0]!r}"
+    finally:
+        gc.set_debug(0)
+        gc.garbage.clear()
+        gc.enable()
