@@ -103,10 +103,14 @@ def _write_out(text: str) -> None:
             data = data[out.buffer.write(data):]
         out.buffer.flush()
     except OSError as exc:
-        devnull = os.open(os.devnull, os.O_WRONLY)
-        os.dup2(devnull, out.fileno())
-        os.close(devnull)
+        _to_devnull(out.fileno())
         raise ConfigError(f"cannot write to standard output: {exc}")
+
+
+def _to_devnull(fd: int) -> None:
+    devnull = os.open(os.devnull, os.O_WRONLY)
+    os.dup2(devnull, fd)
+    os.close(devnull)
 
 
 def _emit(document: dict) -> None:
@@ -328,8 +332,16 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def _fail(exc: Exception, code: int) -> int:
+    """Print one JSON error object on stderr and return code.
+
+    A failed write keeps the code, and stderr then points at the null
+    device, so the flush at exit cannot fail again (see _write_out).
+    """
     payload = {"error": type(exc).__name__, "message": str(exc)}
-    print(json.dumps(payload, sort_keys=True), file=sys.stderr)
+    try:
+        print(json.dumps(payload, sort_keys=True), file=sys.stderr, flush=True)
+    except OSError:
+        _to_devnull(2)
     return code
 
 

@@ -20,6 +20,13 @@ Every reader interns its terms through a TermTable (intern_term): a
 term is built, and so checked, only the first time its token is read,
 and the reader turns the Term's ValueError into a ParseError there.
 
+Turtle and the ground updates of sparql_engine share one statement
+reader, read_triples: a subject and its predicate-object list, with ','
+between objects and ';' between predicates.  Each format passes its own
+term reader, which holds what the formats do not share: Turtle's
+prefixes and base, an update's refusal of variables and prefixed names.
+N-Quads has no lists and keeps its own flat reader.
+
 Serialisation is canonical N-Quads: one statement per line, lines sorted
 bytewise, UTF-8 with a trailing newline on every line.  Two equal graph
 sets therefore serialise to identical bytes, which the command line
@@ -30,7 +37,7 @@ from __future__ import annotations
 
 import re
 from dataclasses import dataclass, field
-from typing import Iterable
+from typing import Callable, Iterable
 from urllib.parse import urljoin
 
 from .errors import ParseError, UnknownPrefix
@@ -518,7 +525,42 @@ def parse_nquads(text: str) -> GraphSet:
         quads.add(Quad(Triple(s, p, o), graph))
 
 
-def parse_turtle(text: str, base: str | None = None) -> GraphSet:
+def read_triples(
+    sc: Scanner, read_term: Callable[[str], Term], add: Callable[[Term, Term, Term], None]
+) -> None:
+    """Read one subject and its predicate-object list at sc.
+
+    This is the statement grammar Turtle and SPARQL share: ',' between
+    objects, ';' between predicates, and a run of ';' that may end the
+    list.  read_term(position) reads the "subject", "predicate" or
+    "object" term at sc, and add takes each triple read.  The caller
+    skips the space before the subject; the space after the list is
+    skipped, and what ends the statement is left to the caller.
+    """
+    subject = read_term("subject")
+    while True:
+        sc.skip_space()
+        predicate = read_term("predicate")
+        if not predicate.is_iri:
+            raise sc.error("predicate must be an IRI")
+        while True:
+            sc.skip_space()
+            add(subject, predicate, read_term("object"))
+            sc.skip_space()
+            after = sc.peek()
+            if after != ",":
+                break
+            sc.pos += 1
+        if after != ";":
+            return
+        while sc.peek() == ";":
+            sc.pos += 1
+            sc.skip_space()
+        if sc.peek() in ".}":  # or the text ended, where peek() is ""
+            return
+
+
+def parse_turtle(text: str) -> GraphSet:
     """Parse the Turtle subset used by snapshot documents.
 
     Supported: @prefix and @base (and their SPARQL spellings), the "a"
@@ -526,178 +568,105 @@ def parse_turtle(text: str, base: str | None = None) -> GraphSet:
     language-tagged literals in any quote form, numbers, booleans, and
     labelled blank nodes.  Collections, blank node property lists, and
     quoted triples are rejected.  All triples land in the default graph.
-    Terms are interned per document through one TermTable.
+    Statements are read by read_triples; terms are interned per document
+    through one TermTable.
     """
     sc = Scanner(text)
     prefixes: dict[str, str] = {}
     quads: set[Quad] = set()
     terms: TermTable = {}
+    base = ""
 
     def resolve(raw: str, pos: int) -> str:
         if is_absolute_iri(raw):
             return raw
-        joined = urljoin(state.get("base_iri", ""), raw)
+        joined = urljoin(base, raw)
         if not is_absolute_iri(joined):  # no base, or one such as urn:x that joins nothing
-            line, column = sc.location(pos)
-            why = f"does not resolve against <{state['base_iri']}>" if state else "with no base"
-            raise ParseError(f"relative IRI {raw!r} {why}", line, column)
+            why = f"does not resolve against <{base}>" if base else "with no base"
+            raise sc.error(f"relative IRI {raw!r} {why}", pos)
         return joined
 
-    state: dict[str, str] = {}
-    if base is not None:
-        state["base_iri"] = base
-
-    def expand_pname(word: str, pos: int) -> str:
-        prefix, _, local = word.partition(":")
-        if prefix not in prefixes:
-            line, column = sc.location(pos)
-            raise UnknownPrefix(prefix, line, column)
-        return prefixes[prefix] + local
-
-    def read_iri() -> Term:
+    def read_name(expected: str) -> str:
+        """The IRI that the <IRI> or prefixed name at sc spells."""
         pos = sc.pos
         if sc.peek() == "<":
             if sc.peek(1) == "<":
                 raise sc.error("quoted triples are not supported")
-            return intern_term(terms, resolve(sc.read_iriref(), pos))
-        word = sc.read_word()
-        if not word or ":" not in word:
-            raise sc.error(f"expected an IRI, found {word!r}" if word else "expected an IRI")
-        return intern_term(terms, expand_pname(word, pos))
-
-    def read_subject() -> Term:
-        ch = sc.peek()
-        if ch == "[":
-            raise sc.error("blank node property lists are not supported")
-        if ch == "(":
-            raise sc.error("collections are not supported")
-        if ch == "_":
-            return Term("blank", sc.read_blank_label())
-        return read_iri()
-
-    def read_predicate() -> Term:
-        pos = sc.pos
-        if sc.peek() == "<":
-            return intern_term(terms, resolve(sc.read_iriref(), pos))
-        word = sc.read_word()
-        if word == "a":
-            return intern_term(terms, RDF_TYPE)
-        if ":" not in word:
-            raise sc.error(f"expected a predicate, found {word!r}")
-        return intern_term(terms, expand_pname(word, pos))
-
-    def read_datatype() -> str:
-        pos = sc.pos
-        if sc.peek() == "<":
             return resolve(sc.read_iriref(), pos)
         word = sc.read_word()
-        if ":" not in word:
-            raise sc.error("expected a datatype IRI")
-        return expand_pname(word, pos)
+        prefix, colon, local = word.partition(":")
+        if not colon:
+            raise sc.error(f"expected {expected}" + (f", found {word!r}" if word else ""))
+        if prefix not in prefixes:
+            raise UnknownPrefix(prefix, *sc.location(pos))
+        return prefixes[prefix] + local
 
-    def read_object() -> Term:
+    def read_term(position: str) -> Term:
         ch = sc.peek()
-        if ch and ch in "\"'":
-            value = sc.read_string()
-            if sc.peek() == "@":
-                return intern_term(terms, (value, None, sc.read_langtag()))
-            if sc.peek() == "^" and sc.peek(1) == "^":
-                sc.pos += 2
-                return intern_term(terms, (value, read_datatype(), None))
-            return intern_term(terms, (value, XSD_STRING, None))
-        if ch == "_":
-            return Term("blank", sc.read_blank_label())
         if ch == "[":
             raise sc.error("blank node property lists are not supported")
         if ch == "(":
             raise sc.error("collections are not supported")
-        if ch.isdigit() or (ch in "+-." and sc.peek(1).isdigit()):
-            return intern_term(terms, read_number(sc))
-        pos = sc.pos
-        if sc.peek() == "<":
-            if sc.peek(1) == "<":
-                raise sc.error("quoted triples are not supported")
-            return intern_term(terms, resolve(sc.read_iriref(), pos))
-        word = sc.read_word()
-        if word in ("true", "false"):
-            return intern_term(terms, (word, XSD_BOOLEAN, None))
-        if ":" not in word:
-            raise sc.error(f"expected an object term, found {word!r}" if word else "expected an object term")
-        return intern_term(terms, expand_pname(word, pos))
+        if ch == "_":
+            return Term("blank", sc.read_blank_label())
+        if position == "object":
+            if ch and ch in "\"'":
+                value = sc.read_string()
+                if sc.peek() == "@":
+                    return intern_term(terms, (value, None, sc.read_langtag()))
+                if sc.peek() == "^" and sc.peek(1) == "^":
+                    sc.pos += 2
+                    return intern_term(terms, (value, read_name("a datatype IRI"), None))
+                return intern_term(terms, (value, XSD_STRING, None))
+            if ch.isdigit() or (ch in "+-." and sc.peek(1).isdigit()):
+                return intern_term(terms, read_number(sc))
+        if ch.isalpha():  # the keywords: "a" as a predicate, a boolean as an object
+            mark = sc.pos
+            word = sc.read_word()
+            if word == "a" and position == "predicate":
+                return intern_term(terms, RDF_TYPE)
+            if word in ("true", "false") and position == "object":
+                return intern_term(terms, (word, XSD_BOOLEAN, None))
+            sc.pos = mark
+        return intern_term(terms, read_name(f"the {position}"))
 
-    def read_directive_at() -> None:
-        sc.expect("@")
-        word = sc.read_word()
-        if word == "prefix":
-            read_prefix()
-        elif word == "base":
-            read_base()
-        else:
-            raise sc.error(f"unknown directive @{word}")
-        sc.skip_space()
-        sc.expect(".")
-
-    def read_prefix() -> None:
-        sc.skip_space()
-        word = sc.read_word()
-        if not word.endswith(":"):
-            # read_word strips nothing here; the prefix label ends with ':'
-            if sc.peek() == ":":
-                sc.pos += 1
-                word += ":"
-            else:
-                raise sc.error("prefix declaration must end with ':'")
-        pos = sc.pos
-        sc.skip_space()
-        prefixes[word[:-1]] = resolve(sc.read_iriref(), pos)
-
-    def read_base() -> None:
-        sc.skip_space()
-        pos = sc.pos
-        state["base_iri"] = resolve(sc.read_iriref(), pos)
+    def add(s: Term, p: Term, o: Term) -> None:
+        quads.add(Quad(Triple(s, p, o), None))
 
     while True:
         sc.skip_space()
         if sc.at_end():
             return frozenset(quads)
-        if sc.peek() == "@":
-            read_directive_at()
-            continue
+        # a directive: @prefix or @base, ended by '.', or SPARQL's PREFIX
+        # or BASE, in any case and with no '.'
         mark = sc.pos
-        if sc.peek().isalpha():
-            word = sc.read_word()
-            if word.upper() == "PREFIX":
-                sc.skip_space()
-                read_prefix()
-                continue
-            if word.upper() == "BASE":
-                read_base()
-                continue
-            sc.pos = mark
-        subject = read_subject()
-        while True:
+        at = sc.peek() == "@"
+        if at:
+            sc.pos += 1
+        word = sc.read_word() if at or sc.peek().isalpha() else ""
+        directive = word if at else word.lower()
+        if directive == "prefix":
             sc.skip_space()
-            predicate = read_predicate()
-            while True:
-                sc.skip_space()
-                obj = read_object()
-                quads.add(Quad(Triple(subject, predicate, obj), None))
-                sc.skip_space()
-                if sc.peek() == ",":
-                    sc.pos += 1
-                    continue
-                break
-            if sc.peek() == ";":
-                sc.pos += 1
-                sc.skip_space()
-                if sc.peek() and sc.peek() in ".;":
-                    while sc.peek() == ";":
-                        sc.pos += 1
-                        sc.skip_space()
-                    break
-                continue
-            break
-        sc.expect(".")
+            label = sc.read_word()
+            if not label.endswith(":"):
+                raise sc.error("prefix declaration must end with ':'")
+            pos = sc.pos
+            sc.skip_space()
+            prefixes[label[:-1]] = resolve(sc.read_iriref(), pos)
+        elif directive == "base":
+            sc.skip_space()
+            pos = sc.pos
+            base = resolve(sc.read_iriref(), pos)
+        elif at:
+            raise sc.error(f"unknown directive @{word}")
+        else:
+            sc.pos = mark
+            read_triples(sc, read_term, add)
+            sc.expect(".")
+            continue
+        if at:
+            sc.skip_space()
+            sc.expect(".")
 
 
 def parse_document(text: str, fmt: str) -> GraphSet:

@@ -477,12 +477,14 @@ class Context:
         return self._records
 
     def term_postings(self) -> dict[Term, frozenset[tuple[str, str]]]:
-        """Each IRI or literal to the (entity, snapshot) pairs whose update holds it.
+        """Each predicate or object to the (entity, snapshot) pairs whose update holds it.
 
         Terms are read from the record's update as its entity reads it
         (_delta), the same object its history holds, so an update only
         makes its own entity relevant; every spelling the update grammar
-        accepts for a term lands under that one term.
+        accepts for a term lands under that one term.  Subjects are not
+        indexed: a narrowed quad's subject is its entity, and an isolated
+        pattern, which reads the index, never has a ground subject.
         Updates that do not parse are left out; loading the history of
         their entity raises BadDelta.
         """
@@ -500,9 +502,9 @@ class Context:
                 continue
             pair = (record.entity, record.snapshot)
             for q in delta.deletes + delta.inserts:
-                for term in (q.subject, q.predicate, q.object):
-                    if not term.is_blank:
-                        postings.setdefault(term, set()).add(pair)
+                postings.setdefault(q.predicate, set()).add(pair)
+                if not q.object.is_blank:
+                    postings.setdefault(q.object, set()).add(pair)
         return {term: frozenset(pairs) for term, pairs in postings.items()}
 
 

@@ -5,8 +5,10 @@ basic graph patterns, non-nested OPTIONAL groups, and FILTER REGEX or
 CONTAINS over one variable; anything else raises UnsupportedFeature so
 callers can tell "outside the subset" apart from "malformed".
 parse_update reads ground update strings, the DELETE DATA / INSERT DATA
-form that snapshot provenance carries.  Updates must spell every IRI out
-and contain no variables; PrefixInDelta and VariableInDelta police that.
+form that snapshot provenance carries.  Their triples are read by
+rdf_model.read_triples, the statement reader Turtle uses, so ',' and ';'
+lists read as they do in Turtle.  Updates must spell every IRI out and
+contain no variables; PrefixInDelta and VariableInDelta police that.
 
 evaluate runs a parsed query over the union of all graphs in a quad set.
 Graph names do not take part in matching.  Solutions form a bag; distinct
@@ -22,6 +24,7 @@ from __future__ import annotations
 import re
 from collections import Counter, defaultdict
 from dataclasses import dataclass, field
+from functools import partial
 from typing import Callable, Iterable, Iterator, Mapping
 
 from .errors import (
@@ -47,6 +50,7 @@ from .rdf_model import (
     escape_string,
     intern_term,
     read_iri_term,
+    read_triples,
 )
 
 
@@ -731,7 +735,6 @@ def _read_update_term(
     sc: Scanner, terms: TermTable, blank_scope: str | None, position: str
 ) -> Term:
     """One subject, predicate or object term of a ground update."""
-    sc.skip_space()
     ch = sc.peek()
     pos = sc.pos
     if ch and ch in "?$":
@@ -785,10 +788,17 @@ def _read_update_block(
 ) -> None:
     """The triples of one DATA block up to its closing brace, left unread.
 
-    GRAPH groups cannot nest, so the one group open at a time is the
-    only state the loop keeps.
+    Statements are read by read_triples, so a block takes SPARQL's ','
+    and ';' lists, and the '.' after a statement is optional.  GRAPH
+    groups cannot nest, so the one group open at a time is the only
+    state the loop keeps; add reads it when each triple is read.
     """
     graph: str | None = None
+    read_term = partial(_read_update_term, sc, terms, blank_scope)
+
+    def add(s: Term, p: Term, o: Term) -> None:
+        target.append(Quad(Triple(s, p, o), graph))
+
     while True:
         sc.skip_space()
         if sc.peek() == "}":
@@ -818,13 +828,7 @@ def _read_update_block(
                 sc.expect("{")
                 continue
             sc.pos = mark
-        s = _read_update_term(sc, terms, blank_scope, "subject")
-        p = _read_update_term(sc, terms, blank_scope, "predicate")
-        if not p.is_iri:
-            raise sc.error("predicate must be an IRI")
-        o = _read_update_term(sc, terms, blank_scope, "object")
-        target.append(Quad(Triple(s, p, o), graph))
-        sc.skip_space()
+        read_triples(sc, read_term, add)
         if sc.peek() == ".":
             sc.pos += 1
 

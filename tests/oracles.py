@@ -294,9 +294,10 @@ def answers_over_time(query: ParsedQuery, entities: Mapping, times) -> list[Coun
 
 
 def _update_terms(text: str, entity: str) -> set[Term]:
-    """Subjects, predicates and objects of the quads an update string
-    parses to whose subject is the entity's IRI; none when it does not
-    parse.  Graph names are not terms of a quad."""
+    """Predicates and objects of the quads an update string parses to
+    whose subject is the entity's IRI; none when it does not parse.
+    The subject is the entity itself, which an isolated pattern never
+    names as its subject, and graph names are not terms of a quad."""
     try:
         delta = parse_update(text)
     except Exception:
@@ -305,7 +306,7 @@ def _update_terms(text: str, entity: str) -> set[Term]:
         t
         for q in delta.deletes + delta.inserts
         if q.subject.is_iri and q.subject.value == entity
-        for t in (q.subject, q.predicate, q.object)
+        for t in (q.predicate, q.object)
     }
 
 
@@ -321,9 +322,9 @@ def parsed_term_search(terms: Iterable[Term], records) -> frozenset[tuple[str, s
 
 
 def parsed_term_postings(records) -> dict[Term, frozenset[tuple[str, str]]]:
-    """Each IRI or literal to the (entity, snapshot) of every record whose
-    parsed update, narrowed to the record's entity, holds it, parsing
-    each record anew."""
+    """Each predicate or object to the (entity, snapshot) of every record
+    whose parsed update, narrowed to the record's entity, holds it,
+    parsing each record anew."""
     out: dict[Term, set] = {}
     for r in records:
         for term in _update_terms(r.text, r.entity):

@@ -56,11 +56,13 @@ def stdin(data: bytes) -> io.TextIOWrapper:
 
 
 def run_cli(argv, **streams) -> subprocess.CompletedProcess:
-    """`python -m chrono_rdf.cli` with the given standard streams."""
+    """`python -m chrono_rdf.cli` with the given standard streams; stderr
+    is captured unless given."""
     src = str(Path(chrono_rdf.__file__).resolve().parents[1])
     return subprocess.run(
         [sys.executable, "-m", "chrono_rdf.cli", *argv],
-        env={**os.environ, "PYTHONPATH": src}, stderr=subprocess.PIPE, text=True, **streams,
+        env={**os.environ, "PYTHONPATH": src}, text=True,
+        **{"stderr": subprocess.PIPE, **streams},
     )
 
 
@@ -545,6 +547,16 @@ class TestExitCodes:
         finally:
             os.close(write_end)
         assert stream_error(done).startswith("cannot write to standard output: ")
+
+    def test_stdout_and_stderr_into_a_closed_pipe_is_3(self, query_argv):
+        # the error object cannot be written either; the exit code still says why
+        read_end, write_end = os.pipe()
+        os.close(read_end)
+        try:
+            done = run_cli(query_argv, stdout=write_end, stderr=write_end)
+        finally:
+            os.close(write_end)
+        assert done.returncode == 3
 
     def test_closed_stdout_is_3(self, query_argv):
         done = run_cli(query_argv, preexec_fn=lambda: os.close(1))

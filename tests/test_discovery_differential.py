@@ -18,7 +18,8 @@ any ground term, which must be refused.
 The relevant entities of the shapes without isolated patterns are
 checked on their own against oracles.oracle_relevant, a walk over the
 ledger's versions that shares no engine code, in cross-version,
-single-version and delta mode.
+single-version and delta mode, and those of an isolated pattern that
+names a cited work against the ledger's holders of that citation.
 """
 
 from __future__ import annotations
@@ -208,6 +209,26 @@ def test_relevant_entities_equal_the_ledger_walk(world_case, which, interval_nam
         got = run(query, ctx, interval=interval).relevant_entities
         expected = oracle_relevant(query, world.ledger.entities, interval)
     assert got == expected
+
+
+@pytest.mark.parametrize("mode", ["version", "delta"])
+def test_an_isolated_pattern_finds_exactly_the_ledger_holders(world_case, mode):
+    # each cited work is named by the pattern, yet holds no citation of
+    # itself, so it is relevant only when its own versions say so
+    world, ctx, _intervals = world_case
+    holders: dict[str, set[str]] = {}
+    for name, truth in world.ledger.entities.items():
+        for version in truth.versions:
+            for q in version:
+                if q.predicate.value == CITO_CITES:
+                    holders.setdefault(q.object.value, set()).add(name)
+    run = execute_delta_query if mode == "delta" else execute_version_query
+    wrong = [
+        target for target, expected in sorted(holders.items())
+        if run(f"SELECT ?x WHERE {{ ?x <{CITO_CITES}> <{target}> }}", ctx).relevant_entities
+        != expected
+    ]
+    assert not wrong, f"{len(wrong)} of {len(holders)} targets differ, first {wrong[0]}"
 
 
 def test_an_isolated_pattern_without_ground_terms_is_refused(world_case):

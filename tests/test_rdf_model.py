@@ -326,6 +326,10 @@ class TestParseTurtle:
         )
         assert len(parse_turtle(text)) == 3
 
+    def test_a_run_of_semicolons_separates_predicates(self):
+        text = "<http://a/s> <http://a/p> <http://a/o> ; ; <http://a/p2> <http://a/o2> ."
+        assert len(parse_turtle(text)) == 2
+
     def test_base_resolution(self):
         text = "@base <http://b.example/dir/> . <rel> <http://p.example/> <other> ."
         parsed = parse_turtle(text)

@@ -170,17 +170,22 @@ _turtle_texts = st.tuples(
         _mostly(st.one_of(_iris, _blank_labels, _pnames), st.one_of(_literals, _junk)),
         _mostly(st.one_of(_iris, _pnames, st.just("a")), _junk),
         _turtle_objects.flatmap(lambda o: st.sampled_from(
-            [o, o, f"{o} , ex:o", f"{o} ; ex:p ex:o", f"{o} ;"]
+            [o, o, f"{o} , ex:o", f"{o} ; ex:p ex:o", f"{o} ;", f"{o} ; ; ex:p ex:o, {o}",
+             f"{o};;"]
         )),
         st.just(""),
     )),
 ).map("".join)
 
+_update_objects = st.one_of(_iris, _literals, _literals, _blank_labels,
+                            st.sampled_from(["true", "42", "-1.5", "ex:o"]))
 _update_statements = _statement(
     _mostly(st.one_of(_iris, _blank_labels), st.one_of(_literals, _junk)),
     _mostly(st.one_of(_iris, st.just("a")), _junk),
-    st.one_of(_iris, _literals, _literals, _blank_labels,
-              st.sampled_from(["true", "42", "-1.5", "ex:o"])),
+    _update_objects.flatmap(lambda o: st.sampled_from(
+        [o, o, f"{o} , <http://a/o>", f"{o} ; a <http://a/o>", f"{o} ;",
+         f"{o} ; ; <http://a/p> {o}, _:b", f"{o};;"]
+    )),
     st.just(""),
 )
 

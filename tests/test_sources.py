@@ -240,12 +240,12 @@ class TestContext:
         ctx = memory_context(doi_data, doi_provenance)
         postings = ctx.term_postings()
         hit = frozenset({(ID, ID + "/prov/se/2")})
-        assert postings[iri(ID)] == hit
         assert postings[iri(HAS_VALUE)] == hit
         assert postings[literal(WRONG_DOI)] == hit
         assert postings[literal(RIGHT_DOI)] == hit
-        # graph names are not terms of any quad, and nothing else is indexed
-        assert set(postings) == {iri(ID), iri(HAS_VALUE), literal(WRONG_DOI), literal(RIGHT_DOI)}
+        # the subject is the entity itself and graph names are not terms of
+        # any quad, so neither is indexed, and nothing else is
+        assert set(postings) == {iri(HAS_VALUE), literal(WRONG_DOI), literal(RIGHT_DOI)}
 
     def test_histories_reuse_the_parse_that_built_the_index(
         self, doi_data, doi_provenance, monkeypatch

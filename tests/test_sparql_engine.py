@@ -243,6 +243,15 @@ class TestParseUpdate:
         graphs = {q.graph for q in parse_update(text).inserts}
         assert graphs == {None, "http://g.example/"}
 
+    def test_object_and_predicate_lists(self):
+        text = (
+            "INSERT DATA { <http://a/s> <http://a/p> <http://a/o1> , <http://a/o2> ;"
+            ' <http://a/q> "x" . }'
+        )
+        assert [(q.predicate.value, q.object.value) for q in parse_update(text).inserts] == [
+            ("http://a/p", "http://a/o1"), ("http://a/p", "http://a/o2"), ("http://a/q", "x"),
+        ]
+
     def test_variables_rejected(self):
         with pytest.raises(VariableInDelta):
             parse_update("DELETE DATA { ?s <http://p.example/> ?o }")

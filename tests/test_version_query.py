@@ -281,6 +281,21 @@ class TestDiscoveryReadsTheParsedUpdate:
         assert [b.as_dict()["s"].value for b in outcome.results[earlier].rows] == [GONE]
         assert outcome.results[later].rows == ()
 
+    ONE_TRIPLE_PER_STATEMENT = (
+        f"<{GONE}> a <{GONE_TYPE}> . <{GONE}> <{GONE_P}> 42 . <{GONE}> <{GONE_P}> 'x' ."
+    )
+
+    @pytest.mark.parametrize("listed", [
+        f"<{GONE}> a <{GONE_TYPE}> . <{GONE}> <{GONE_P}> 42 , 'x'",
+        f"<{GONE}> a <{GONE_TYPE}> ; <{GONE_P}> 42 ; <{GONE_P}> 'x' ; .",
+    ], ids=["comma-list", "semicolon-list"])
+    def test_listed_triples_read_as_one_triple_per_statement(self, listed):
+        one, other = self._world(self.ONE_TRIPLE_PER_STATEMENT), self._world(listed)
+        assert len(one.history(GONE).snapshots[1].update.deletes) == 3
+        assert other.history(GONE).snapshots[1].update == one.history(GONE).snapshots[1].update
+        assert other.term_postings() == one.term_postings()
+        assert other.history(GONE) == one.history(GONE)
+
 
 def _snap(entity: str, k: int, when: str) -> Snapshot:
     return Snapshot(
