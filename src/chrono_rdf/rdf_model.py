@@ -20,12 +20,13 @@ Every reader interns its terms through a TermTable (intern_term): a
 term is built, and so checked, only the first time its token is read,
 and the reader turns the Term's ValueError into a ParseError there.
 
-Turtle and the ground updates of sparql_engine share one statement
-reader, read_triples: a subject and its predicate-object list, with ','
-between objects and ';' between predicates.  Each format passes its own
-term reader, which holds what the formats do not share: Turtle's
-prefixes and base, an update's refusal of variables and prefixed names.
-N-Quads has no lists and keeps its own flat reader.
+Turtle, the ground updates of sparql_engine and the triple patterns of
+its SELECT queries share one statement reader, read_triples: a subject
+and its predicate-object list, with ',' between objects and ';' between
+predicates.  Each format passes its own term reader, which holds what the
+formats do not share: Turtle's prefixes and base, an update's refusal of
+variables and prefixed names, a query's variables.  N-Quads has no lists
+and keeps its own flat reader.
 
 Serialisation is canonical N-Quads: one statement per line, lines sorted
 bytewise, UTF-8 with a trailing newline on every line.  Two equal graph
@@ -37,7 +38,7 @@ from __future__ import annotations
 
 import re
 from dataclasses import dataclass, field
-from typing import Callable, Iterable
+from typing import Any, Callable, Iterable
 from urllib.parse import urljoin
 
 from .errors import ParseError, UnknownPrefix
@@ -320,10 +321,11 @@ def _unescape(body: str) -> str:
 class Scanner:
     """Token reader shared by every parser of the package.
 
-    The N-Quads and Turtle readers, parse_update and the SPARQL tokenizer
-    all read their tokens here.  Each reader matches its whole token with
-    one anchored regular expression at pos and decodes escapes with one
-    substitution, so valid input never reaches a loop over characters.
+    The N-Quads and Turtle readers, parse_update and parse_select all
+    read their tokens here, each token when their grammar reaches it.
+    Each reader matches its whole token with one anchored regular
+    expression at pos and decodes escapes with one substitution, so
+    valid input never reaches a loop over characters.
     When a match fails, the reader works out which character is at fault
     and raises a ParseError at its line and column.
     """
@@ -526,22 +528,24 @@ def parse_nquads(text: str) -> GraphSet:
 
 
 def read_triples(
-    sc: Scanner, read_term: Callable[[str], Term], add: Callable[[Term, Term, Term], None]
+    sc: Scanner, read_term: Callable[[str], Any], add: Callable[..., None]
 ) -> None:
     """Read one subject and its predicate-object list at sc.
 
     This is the statement grammar Turtle and SPARQL share: ',' between
     objects, ';' between predicates, and a run of ';' that may end the
     list.  read_term(position) reads the "subject", "predicate" or
-    "object" term at sc, and add takes each triple read.  The caller
-    skips the space before the subject; the space after the list is
-    skipped, and what ends the statement is left to the caller.
+    "object" term at sc, and add takes each triple read.  A predicate
+    must be an IRI unless it is no Term at all, such as a query
+    variable.  The caller skips the space before the subject; the space
+    after the list is skipped, and what ends the statement is left to
+    the caller.
     """
     subject = read_term("subject")
     while True:
         sc.skip_space()
         predicate = read_term("predicate")
-        if not predicate.is_iri:
+        if isinstance(predicate, Term) and not predicate.is_iri:
             raise sc.error("predicate must be an IRI")
         while True:
             sc.skip_space()

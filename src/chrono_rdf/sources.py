@@ -425,13 +425,7 @@ class Context:
                 for row in source.select(format_query(query)):
                     rows.append(Binding.from_dict(row))
         if query.distinct:
-            seen: set[Binding] = set()
-            unique = []
-            for row in rows:
-                if row not in seen:
-                    seen.add(row)
-                    unique.append(row)
-            rows = unique
+            rows = list(dict.fromkeys(rows))
         return SolutionSet(tuple(rows))
 
     # -- provenance ----------------------------------------------------

@@ -5,10 +5,14 @@ basic graph patterns, non-nested OPTIONAL groups, and FILTER REGEX or
 CONTAINS over one variable; anything else raises UnsupportedFeature so
 callers can tell "outside the subset" apart from "malformed".
 parse_update reads ground update strings, the DELETE DATA / INSERT DATA
-form that snapshot provenance carries.  Their triples are read by
-rdf_model.read_triples, the statement reader Turtle uses, so ',' and ';'
-lists read as they do in Turtle.  Updates must spell every IRI out and
-contain no variables; PrefixInDelta and VariableInDelta police that.
+form that snapshot provenance carries.  Both read their tokens straight
+off an rdf_model.Scanner, front to back, and both read their triples
+through rdf_model.read_triples, the statement reader Turtle uses, so ','
+and ';' lists read as they do in Turtle.  Each passes its own term
+reader: a query's takes variables and declared prefixes and refuses
+blank nodes, property paths and relative IRIs; an update's must find
+every IRI spelt out and no variables, which PrefixInDelta and
+VariableInDelta police.
 
 evaluate runs a parsed query over the union of all graphs in a quad set.
 Graph names do not take part in matching.  Solutions form a bag; distinct
@@ -42,7 +46,6 @@ from .rdf_model import (
     XSD_STRING,
     Quad,
     Term,
-    TermKey,
     TermTable,
     Triple,
     Scanner,
@@ -159,92 +162,6 @@ class SolutionSet:
         return sorted(self.rows, key=lambda b: [(k, t.n3()) for k, t in b.values])
 
 
-_PUNCT_SINGLE = set("{}().;,*=/^|+")
-
-
-@dataclass(frozen=True, slots=True)
-class _Tok:
-    kind: str
-    value: object
-    pos: int
-
-
-def _tokenize(text: str) -> tuple[list[_Tok], Scanner]:
-    sc = Scanner(text)
-    toks: list[_Tok] = []
-    while True:
-        sc.skip_space()
-        pos = sc.pos
-        if sc.at_end():
-            toks.append(_Tok("eof", "", pos))
-            return toks, sc
-        ch = sc.peek()
-        if ch == "<":
-            toks.append(_Tok("iri", sc.read_iriref(), pos))
-        elif ch in "?$":
-            sc.pos += 1
-            name = sc.read_word()
-            if not name:
-                raise sc.error("empty variable name")
-            toks.append(_Tok("var", name, pos))
-        elif ch in "\"'":
-            toks.append(_Tok("string", sc.read_string(), pos))
-        elif ch == "@":
-            toks.append(_Tok("langtag", sc.read_langtag(), pos))
-        elif ch == "^" and sc.peek(1) == "^":
-            sc.pos += 2
-            toks.append(_Tok("punct", "^^", pos))
-        elif ch == "_" and sc.peek(1) == ":":
-            toks.append(_Tok("blank", sc.read_blank_label(), pos))
-        elif ch.isdigit() or (ch in "+-" and sc.peek(1).isdigit()):
-            toks.append(_Tok("number", read_number(sc), pos))
-        elif ch in _PUNCT_SINGLE:
-            sc.pos += 1
-            toks.append(_Tok("punct", ch, pos))
-        else:
-            word = sc.read_word()
-            if not word:
-                raise sc.error(f"unexpected character {ch!r}")
-            kind = "pname" if ":" in word else "word"
-            toks.append(_Tok(kind, word, pos))
-
-
-class _TokenStream:
-    def __init__(self, text: str):
-        self.toks, self.sc = _tokenize(text)
-        self.k = 0
-
-    @property
-    def cur(self) -> _Tok:
-        return self.toks[self.k]
-
-    def advance(self) -> _Tok:
-        tok = self.toks[self.k]
-        if tok.kind != "eof":
-            self.k += 1
-        return tok
-
-    def error(self, message: str, tok: _Tok | None = None) -> ParseError:
-        tok = tok or self.cur
-        return self.sc.error(message, tok.pos)
-
-    def at_word(self, *words: str) -> bool:
-        return self.cur.kind == "word" and str(self.cur.value).upper() in words
-
-    def expect_word(self, word: str) -> None:
-        if not self.at_word(word):
-            raise self.error(f"expected {word}")
-        self.advance()
-
-    def at_punct(self, value: str) -> bool:
-        return self.cur.kind == "punct" and self.cur.value == value
-
-    def expect_punct(self, value: str) -> None:
-        if not self.at_punct(value):
-            raise self.error(f"expected {value!r}")
-        self.advance()
-
-
 _UNSUPPORTED_IN_GROUP = {
     "UNION": "UNION",
     "GRAPH": "GRAPH blocks",
@@ -255,6 +172,7 @@ _UNSUPPORTED_IN_GROUP = {
     "EXISTS": "EXISTS",
     "NOT": "NOT EXISTS",
 }
+_GROUP_KEYWORDS = ("OPTIONAL", "FILTER", *_UNSUPPORTED_IN_GROUP)
 
 _UNSUPPORTED_TRAILERS = {
     "ORDER": "ORDER BY",
@@ -264,206 +182,264 @@ _UNSUPPORTED_TRAILERS = {
     "OFFSET": "OFFSET",
 }
 
+_EXPECTED_TERM = {
+    "subject": "expected a subject term",
+    "predicate": "expected a predicate term",
+    "object": "expected an object term",
+}
+
+
+def _read_keyword(sc: Scanner, keywords: Iterable[str]) -> str:
+    """The word at sc, upper-cased, when it is one of keywords; else ""
+    with sc left where it was."""
+    mark = sc.pos
+    word = sc.read_word().upper()
+    if word in keywords:
+        return word
+    sc.pos = mark
+    return ""
+
+
+def _expect(sc: Scanner, ch: str) -> None:
+    sc.skip_space()
+    sc.expect(ch)
+
+
+def _read_variable(sc: Scanner) -> Variable:
+    """The ?name or $name at sc."""
+    sc.pos += 1
+    name = sc.read_word()
+    if not name:
+        raise sc.error("empty variable name")
+    return Variable(name)
+
+
+def _read_name(sc: Scanner) -> str:
+    """The word or prefixed name at sc, or "" where a '.', a number or a
+    blank node label starts instead."""
+    ch = sc.peek()
+    if ch == "." or ch.isdigit() or (ch == "-" and sc.peek(1).isdigit()) or (
+        ch == "_" and sc.peek(1) == ":"
+    ):
+        return ""
+    return sc.read_word()
+
+
+def _read_query_iri(sc: Scanner, terms: TermTable, prefixes: dict[str, str], expected: str) -> Term:
+    """The interned IRI that the <IRI> or prefixed name at sc spells;
+    expected is the message of the error where neither is."""
+    pos = sc.pos
+    if sc.peek() == "<":
+        value = sc.read_iriref()
+    else:
+        prefix, colon, local = _read_name(sc).partition(":")
+        if not colon:
+            raise sc.error(expected, pos)
+        if prefix not in prefixes:
+            raise UnknownPrefix(prefix, *sc.location(pos))
+        value = prefixes[prefix] + local
+    try:
+        return terms.get(value) or intern_term(terms, value)
+    except ValueError:
+        raise sc.error(f"relative IRI {value!r}; queries have no base", pos) from None
+
+
+def _read_pattern_term(
+    sc: Scanner, terms: TermTable, prefixes: dict[str, str], position: str
+) -> PatternTerm:
+    """One subject, predicate or object term of a triple pattern."""
+    ch = sc.peek()
+    if ch in ("?", "$"):
+        return _read_variable(sc)
+    if ch == "_" and sc.peek(1) == ":":
+        sc.read_blank_label()
+        raise UnsupportedFeature("blank nodes in patterns")
+    after = sc.peek(1)
+    if ch in ("/", "|") or (ch == "^" and after != "^") or (ch == "+" and not after.isdigit()):
+        raise UnsupportedFeature("property paths")
+    if position == "object":
+        if ch in ('"', "'"):
+            value = sc.read_string()
+            sc.skip_space()  # SPARQL allows space before the tag or the '^^'
+            if sc.peek() == "@":
+                key = (value, None, sc.read_langtag())
+            elif sc.peek() == "^" and sc.peek(1) == "^":
+                sc.pos += 2
+                sc.skip_space()
+                key = (value, _read_query_iri(sc, terms, prefixes, "expected an IRI").value, None)
+            else:
+                key = (value, XSD_STRING, None)
+            return intern_term(terms, key)
+        if ch.isdigit() or (ch in ("+", "-") and after.isdigit()):
+            return intern_term(terms, read_number(sc))
+    if ch.isalpha():  # the keywords: "a" as a predicate, a boolean as an object
+        mark = sc.pos
+        word = sc.read_word()
+        if word == "a" and position == "predicate":
+            return intern_term(terms, RDF_TYPE)
+        if word in ("true", "false") and position == "object":
+            return intern_term(terms, (word, XSD_BOOLEAN, None))
+        sc.pos = mark
+    return _read_query_iri(sc, terms, prefixes, _EXPECTED_TERM[position])
+
+
+def _read_statement(
+    sc: Scanner, read_term: Callable[[str], PatternTerm], patterns: list[TriplePattern],
+    group: int | None,
+) -> None:
+    """The triples of one statement, as patterns of group, and its '.'."""
+    read_triples(sc, read_term, lambda s, p, o: patterns.append(TriplePattern(s, p, o, group)))
+    if sc.peek() == ".":
+        sc.pos += 1
+
+
+def _read_optional(
+    sc: Scanner, read_term: Callable[[str], PatternTerm], patterns: list[TriplePattern],
+    group: int,
+) -> None:
+    """The braced statements after an OPTIONAL keyword, as patterns of group."""
+    _expect(sc, "{")
+    first = len(patterns)
+    while True:
+        sc.skip_space()
+        ch = sc.peek()
+        if ch == "}":
+            break
+        if not ch:
+            raise sc.error("unterminated OPTIONAL group")
+        keyword = _read_keyword(sc, _GROUP_KEYWORDS)
+        if keyword == "OPTIONAL":
+            raise UnsupportedFeature("nested OPTIONAL")
+        if keyword == "FILTER":
+            raise UnsupportedFeature("FILTER inside OPTIONAL")
+        if keyword:
+            raise UnsupportedFeature(_UNSUPPORTED_IN_GROUP[keyword])
+        _read_statement(sc, read_term, patterns, group)
+    sc.pos += 1
+    if len(patterns) == first:
+        sc.skip_space()
+        raise sc.error("empty OPTIONAL group")
+
+
+def _read_filter(sc: Scanner) -> Filter:
+    """The REGEX or CONTAINS call after a FILTER keyword."""
+    sc.skip_space()
+    name = sc.read_word()
+    kind = name.upper()
+    if kind not in ("REGEX", "CONTAINS"):
+        raise UnsupportedFeature(f"FILTER {name or sc.peek()}")
+    _expect(sc, "(")
+    sc.skip_space()
+    wrapped = _read_keyword(sc, ("STR",))
+    if wrapped:
+        _expect(sc, "(")
+        sc.skip_space()
+    if sc.peek() not in ("?", "$"):
+        raise UnsupportedFeature("FILTER over anything but a plain variable")
+    var = _read_variable(sc)
+    if wrapped:
+        _expect(sc, ")")
+    _expect(sc, ",")
+    sc.skip_space()
+    if sc.peek() not in ('"', "'"):
+        raise sc.error("FILTER needs a string pattern")
+    pattern = sc.read_string()
+    sc.skip_space()
+    if sc.peek() == ",":
+        raise UnsupportedFeature("FILTER flags argument")
+    sc.expect(")")
+    if kind == "REGEX":
+        try:
+            re.compile(pattern)
+        except re.error as exc:
+            raise BadRegex(f"cannot compile {pattern!r}: {exc}")
+    return Filter(kind.lower(), var, pattern)
+
 
 def parse_select(text: str) -> ParsedQuery:
     """Parse a SELECT query in the supported subset.
 
     Raises ParseError for malformed text, UnknownPrefix for undeclared
     prefixes, UnsupportedFeature for SPARQL outside the subset, and
-    BadRegex when a FILTER REGEX pattern does not compile.
+    BadRegex when a FILTER REGEX pattern does not compile.  The text is
+    read once, front to back, so a text with several faults reports the
+    first.  The readers take their state as arguments, so a parse leaves
+    no reference cycle for the collector to free.
     """
-    ts = _TokenStream(text)
+    sc = Scanner(text)
     prefixes: dict[str, str] = {}
+    while True:
+        sc.skip_space()
+        keyword = _read_keyword(sc, ("PREFIX", "BASE", "SELECT", "ASK", "CONSTRUCT", "DESCRIBE"))
+        if keyword != "PREFIX":
+            break
+        sc.skip_space()
+        pos = sc.pos
+        label = _read_name(sc)
+        if not label.endswith(":"):
+            raise sc.error("expected a prefix label ending in ':'", pos)
+        sc.skip_space()
+        if sc.peek() != "<":
+            raise sc.error("expected an IRI after the prefix label")
+        prefixes[label[:-1]] = sc.read_iriref()
+    if keyword != "SELECT":
+        if keyword:
+            raise UnsupportedFeature(keyword)
+        raise sc.error("expected SELECT")
 
-    while ts.at_word("PREFIX", "BASE"):
-        if ts.at_word("BASE"):
-            raise UnsupportedFeature("BASE")
-        ts.advance()
-        tok = ts.advance()
-        if tok.kind != "pname" or not str(tok.value).endswith(":"):
-            raise ts.error("expected a prefix label ending in ':'", tok)
-        iri_tok = ts.advance()
-        if iri_tok.kind != "iri":
-            raise ts.error("expected an IRI after the prefix label", iri_tok)
-        prefixes[str(tok.value)[:-1]] = str(iri_tok.value)
-
-    if ts.at_word("ASK", "CONSTRUCT", "DESCRIBE"):
-        raise UnsupportedFeature(str(ts.cur.value).upper())
-    ts.expect_word("SELECT")
-    distinct = False
-    if ts.at_word("DISTINCT"):
-        distinct = True
-        ts.advance()
-    elif ts.at_word("REDUCED"):
+    sc.skip_space()
+    keyword = _read_keyword(sc, ("DISTINCT", "REDUCED"))
+    if keyword == "REDUCED":
         raise UnsupportedFeature("REDUCED")
-
+    distinct = keyword == "DISTINCT"
     projected: list[Variable] = []
-    select_star = False
-    if ts.at_punct("*"):
-        select_star = True
-        ts.advance()
+    sc.skip_space()
+    select_star = sc.peek() == "*"
+    if select_star:
+        sc.pos += 1
     else:
-        while ts.cur.kind == "var":
-            projected.append(Variable(str(ts.advance().value)))
-        if ts.at_punct("("):
+        while sc.peek() in ("?", "$"):
+            projected.append(_read_variable(sc))
+            sc.skip_space()
+        if sc.peek() == "(":
             raise UnsupportedFeature("expressions in the projection")
         if not projected:
-            raise ts.error("SELECT needs variables or *")
+            raise sc.error("SELECT needs variables or *")
+    sc.skip_space()
+    _read_keyword(sc, ("WHERE",))
+    _expect(sc, "{")
 
-    if ts.at_word("WHERE"):
-        ts.advance()
-    ts.expect_punct("{")
-
-    terms: TermTable = {}
-
-    def resolve_term(tok: _Tok) -> Term:
-        if tok.kind == "iri":
-            value = str(tok.value)
-        elif tok.kind == "pname":
-            prefix, _, local = str(tok.value).partition(":")
-            if prefix not in prefixes:
-                line, column = ts.sc.location(tok.pos)
-                raise UnknownPrefix(prefix, line, column)
-            value = prefixes[prefix] + local
-        else:
-            raise ts.error("expected an IRI", tok)
-        try:
-            return intern_term(terms, value)
-        except ValueError:
-            raise ts.error(f"relative IRI {value!r}; queries have no base", tok) from None
-
-    def read_pattern_term(position: str) -> PatternTerm:
-        tok = ts.cur
-        if tok.kind == "var":
-            ts.advance()
-            return Variable(str(tok.value))
-        if tok.kind == "blank":
-            raise UnsupportedFeature("blank nodes in patterns")
-        if tok.kind in ("iri", "pname"):
-            ts.advance()
-            term = resolve_term(tok)
-            if ts.cur.kind == "punct" and ts.cur.value in ("/", "^", "|", "+"):
-                raise UnsupportedFeature("property paths")
-            return term
-        if position == "object":
-            if tok.kind == "string":
-                ts.advance()
-                return intern_term(terms, _query_literal_key(ts, str(tok.value), resolve_term))
-            if tok.kind == "number":
-                ts.advance()
-                return intern_term(terms, tok.value)
-            if tok.kind == "word" and str(tok.value) in ("true", "false"):
-                ts.advance()
-                return intern_term(terms, (str(tok.value), XSD_BOOLEAN, None))
-        if position == "predicate" and tok.kind == "word" and tok.value == "a":
-            ts.advance()
-            return intern_term(terms, RDF_TYPE)
-        if tok.kind == "punct" and tok.value in ("/", "^", "|", "+"):
-            raise UnsupportedFeature("property paths")
-        raise ts.error(f"expected a {position} term", tok)
-
+    read_term = partial(_read_pattern_term, sc, {}, prefixes)
     patterns: list[TriplePattern] = []
     filters: list[Filter] = []
     next_group = 0
-
-    def read_triple(group: int | None) -> None:
-        subject = read_pattern_term("subject")
-        if isinstance(subject, Term) and subject.is_literal:
-            raise ts.error("literal in subject position")
-        while True:
-            predicate = read_pattern_term("predicate")
-            while True:
-                obj = read_pattern_term("object")
-                patterns.append(TriplePattern(subject, predicate, obj, group))
-                if ts.at_punct(","):
-                    ts.advance()
-                    continue
-                break
-            if ts.at_punct(";"):
-                while ts.at_punct(";"):
-                    ts.advance()
-                if ts.at_punct(".") or ts.at_punct("}"):
-                    break
-                continue
+    while True:
+        sc.skip_space()
+        ch = sc.peek()
+        if ch == "}":
             break
-        if ts.at_punct("."):
-            ts.advance()
-
-    def read_filter() -> None:
-        kind_tok = ts.advance()
-        kind = str(kind_tok.value).upper()
-        if kind_tok.kind == "punct" or kind not in ("REGEX", "CONTAINS"):
-            raise UnsupportedFeature(f"FILTER {kind_tok.value}")
-        ts.expect_punct("(")
-        wrapped = False
-        if ts.at_word("STR"):
-            ts.advance()
-            ts.expect_punct("(")
-            wrapped = True
-        var_tok = ts.advance()
-        if var_tok.kind != "var":
-            raise UnsupportedFeature("FILTER over anything but a plain variable")
-        if wrapped:
-            ts.expect_punct(")")
-        ts.expect_punct(",")
-        pat_tok = ts.advance()
-        if pat_tok.kind != "string":
-            raise ts.error("FILTER needs a string pattern", pat_tok)
-        if ts.at_punct(","):
-            raise UnsupportedFeature("FILTER flags argument")
-        ts.expect_punct(")")
-        pattern = str(pat_tok.value)
-        if kind == "REGEX":
-            try:
-                re.compile(pattern)
-            except re.error as exc:
-                raise BadRegex(f"cannot compile {pattern!r}: {exc}")
-        filters.append(Filter(kind.lower(), Variable(str(var_tok.value)), pattern))
-
-    while not ts.at_punct("}"):
-        tok = ts.cur
-        if tok.kind == "eof":
-            raise ts.error("unterminated group")
-        if tok.kind == "word":
-            upper = str(tok.value).upper()
-            if upper == "OPTIONAL":
-                ts.advance()
-                ts.expect_punct("{")
-                group = next_group
-                next_group += 1
-                while not ts.at_punct("}"):
-                    if ts.cur.kind == "eof":
-                        raise ts.error("unterminated OPTIONAL group")
-                    if ts.cur.kind == "word":
-                        inner = str(ts.cur.value).upper()
-                        if inner == "OPTIONAL":
-                            raise UnsupportedFeature("nested OPTIONAL")
-                        if inner == "FILTER":
-                            raise UnsupportedFeature("FILTER inside OPTIONAL")
-                        if inner in _UNSUPPORTED_IN_GROUP:
-                            raise UnsupportedFeature(_UNSUPPORTED_IN_GROUP[inner])
-                    read_triple(group)
-                ts.advance()
-                if not any(p.optional_group == group for p in patterns):
-                    raise ts.error("empty OPTIONAL group")
-                continue
-            if upper == "FILTER":
-                ts.advance()
-                read_filter()
-                continue
-            if upper in _UNSUPPORTED_IN_GROUP:
-                raise UnsupportedFeature(_UNSUPPORTED_IN_GROUP[upper])
-        if tok.kind == "punct" and tok.value == "{":
+        if not ch:
+            raise sc.error("unterminated group")
+        if ch == "{":
             raise UnsupportedFeature("nested groups")
-        read_triple(None)
-    ts.advance()
+        keyword = _read_keyword(sc, _GROUP_KEYWORDS)
+        if keyword == "OPTIONAL":
+            _read_optional(sc, read_term, patterns, next_group)
+            next_group += 1
+        elif keyword == "FILTER":
+            filters.append(_read_filter(sc))
+        elif keyword:
+            raise UnsupportedFeature(_UNSUPPORTED_IN_GROUP[keyword])
+        else:
+            _read_statement(sc, read_term, patterns, None)
+    sc.pos += 1
 
-    if ts.cur.kind == "word":
-        upper = str(ts.cur.value).upper()
-        if upper in _UNSUPPORTED_TRAILERS:
-            raise UnsupportedFeature(_UNSUPPORTED_TRAILERS[upper])
-    if ts.cur.kind != "eof":
-        raise ts.error("trailing content after the query")
+    sc.skip_space()
+    if not sc.at_end():
+        keyword = _read_keyword(sc, _UNSUPPORTED_TRAILERS)
+        if keyword:
+            raise UnsupportedFeature(_UNSUPPORTED_TRAILERS[keyword])
+        raise sc.error("trailing content after the query")
 
     if not patterns:
         raise ParseError("query has no triple patterns")
@@ -471,7 +447,7 @@ def parse_select(text: str) -> ParsedQuery:
     bound = {v for p in patterns for v in p.variables()}
     for f in filters:
         if f.var not in bound:
-            raise ts.error(f"FILTER variable ?{f.var.name} never appears in a pattern")
+            raise sc.error(f"FILTER variable ?{f.var.name} never appears in a pattern")
 
     required_vars = {v for p in patterns if p.required for v in p.variables()}
     group_vars: dict[int, set[Variable]] = defaultdict(set)
@@ -497,23 +473,8 @@ def parse_select(text: str) -> ParsedQuery:
     )
 
 
-def _query_literal_key(ts: _TokenStream, value: str, resolve_term) -> TermKey:
-    """The TermTable key of the literal whose string token was just read."""
-    if ts.cur.kind == "langtag":
-        return value, None, str(ts.advance().value)
-    if ts.at_punct("^^"):
-        ts.advance()
-        dt_tok = ts.advance()
-        return value, resolve_term(dt_tok).value, None
-    return value, XSD_STRING, None
-
-
 def format_query(query: ParsedQuery) -> str:
     """Render a parsed query back to SPARQL text with all IRIs spelt out."""
-
-    def term_text(t: PatternTerm) -> str:
-        return t.n3()
-
     lines = []
     head = "SELECT DISTINCT" if query.distinct else "SELECT"
     if query.select_star:
@@ -524,7 +485,7 @@ def format_query(query: ParsedQuery) -> str:
     lines.append("WHERE {")
     for p in query.patterns:
         if p.required:
-            lines.append(f"  {term_text(p.subject)} {term_text(p.predicate)} {term_text(p.object)} .")
+            lines.append(f"  {p.subject.n3()} {p.predicate.n3()} {p.object.n3()} .")
     emitted: set[int] = set()
     for p in query.patterns:
         g = p.optional_group
@@ -535,8 +496,7 @@ def format_query(query: ParsedQuery) -> str:
         for member in query.patterns:
             if member.optional_group == g:
                 lines.append(
-                    f"    {term_text(member.subject)} {term_text(member.predicate)}"
-                    f" {term_text(member.object)} ."
+                    f"    {member.subject.n3()} {member.predicate.n3()} {member.object.n3()} ."
                 )
         lines.append("  }")
     for f in query.filters:
@@ -777,9 +737,7 @@ def _read_update_term(
         elif ":" in word:
             raise PrefixInDelta(f"prefixed name {word!r} in update text")
         else:
-            raise sc.error(
-                f"expected a {position} term" + (f", found {word!r}" if word else "")
-            )
+            raise sc.error(_EXPECTED_TERM[position] + (f", found {word!r}" if word else ""))
     return terms.get(key) or intern_term(terms, key)
 
 

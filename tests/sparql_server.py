@@ -43,8 +43,56 @@ def _term_json(term: Term) -> dict:
     return node
 
 
+class _Handler(BaseHTTPRequestHandler):
+    """Answers a POSTed query for the SparqlServer that self.server serves."""
+
+    def log_message(self, *args):
+        pass
+
+    def do_POST(self):
+        outer: SparqlServer = self.server.owner
+        outer.requests_seen += 1
+        if outer.slow_next > 0:
+            outer.slow_next -= 1
+            time.sleep(outer.slow_seconds)
+        if outer.fail_next > 0:
+            outer.fail_next -= 1
+            self.send_response(500)
+            self.end_headers()
+            self.wfile.write(b"no luck today")
+            return
+        if outer.garbage_next > 0:
+            outer.garbage_next -= 1
+            self.send_response(200)
+            self.end_headers()
+            self.wfile.write(b"<html>surprise</html>")
+            return
+        length = int(self.headers.get("Content-Length", "0"))
+        form = parse_qs(self.rfile.read(length).decode("utf-8"))
+        query = form.get("query", [""])[0]
+        try:
+            rows = outer.answer(query)
+        except Exception as exc:  # a bad query is the client's fault
+            self.send_response(400)
+            self.end_headers()
+            self.wfile.write(str(exc).encode("utf-8"))
+            return
+        body = json.dumps(
+            {"head": {"vars": []}, "results": {"bindings": rows}}
+        ).encode("utf-8")
+        self.send_response(200)
+        self.send_header("Content-Type", "application/sparql-results+json")
+        self.send_header("Content-Length", str(len(body)))
+        self.end_headers()
+        self.wfile.write(body)
+
+
 class SparqlServer:
-    """Serves one data graph set and one provenance graph set over HTTP."""
+    """Serves one data graph set and one provenance graph set over HTTP.
+
+    The HTTP server reaches this object through its owner attribute; a
+    closed server drops that link, so the two form no reference cycle.
+    """
 
     def __init__(self, data: GraphSet, provenance: GraphSet):
         self.data = frozenset(data)
@@ -54,49 +102,8 @@ class SparqlServer:
         self.garbage_next = 0  # answer this many requests with non-JSON
         self.slow_seconds = 2.0
         self.requests_seen = 0
-        outer = self
-
-        class Handler(BaseHTTPRequestHandler):
-            def log_message(self, *args):
-                pass
-
-            def do_POST(self):
-                outer.requests_seen += 1
-                if outer.slow_next > 0:
-                    outer.slow_next -= 1
-                    time.sleep(outer.slow_seconds)
-                if outer.fail_next > 0:
-                    outer.fail_next -= 1
-                    self.send_response(500)
-                    self.end_headers()
-                    self.wfile.write(b"no luck today")
-                    return
-                if outer.garbage_next > 0:
-                    outer.garbage_next -= 1
-                    self.send_response(200)
-                    self.end_headers()
-                    self.wfile.write(b"<html>surprise</html>")
-                    return
-                length = int(self.headers.get("Content-Length", "0"))
-                form = parse_qs(self.rfile.read(length).decode("utf-8"))
-                query = form.get("query", [""])[0]
-                try:
-                    rows = outer.answer(query)
-                except Exception as exc:  # a bad query is the client's fault
-                    self.send_response(400)
-                    self.end_headers()
-                    self.wfile.write(str(exc).encode("utf-8"))
-                    return
-                body = json.dumps(
-                    {"head": {"vars": []}, "results": {"bindings": rows}}
-                ).encode("utf-8")
-                self.send_response(200)
-                self.send_header("Content-Type", "application/sparql-results+json")
-                self.send_header("Content-Length", str(len(body)))
-                self.end_headers()
-                self.wfile.write(body)
-
-        self._server = ThreadingHTTPServer(("127.0.0.1", 0), Handler)
+        self._server = ThreadingHTTPServer(("127.0.0.1", 0), _Handler)
+        self._server.owner = self
         self._server.handle_error = lambda *a: None  # client hangups are expected
         self._thread = threading.Thread(target=self._server.serve_forever, daemon=True)
 
@@ -184,3 +191,5 @@ class SparqlServer:
     def __exit__(self, *exc) -> None:
         self._server.shutdown()
         self._server.server_close()
+        self._thread.join()
+        self._server.owner = None

@@ -21,7 +21,7 @@ from hypothesis import strategies as st
 from oracles import CharScanner
 
 from chrono_rdf import ParseError, parse_nquads, parse_turtle, rdf_model, sparql_engine
-from chrono_rdf.sparql_engine import _tokenize, parse_select, parse_update
+from chrono_rdf.sparql_engine import parse_select, parse_update
 
 
 @contextmanager
@@ -40,10 +40,6 @@ def _outcome(parse, text):
     except Exception as exc:  # any error must be the reference's error
         where = (exc.line, exc.column) if isinstance(exc, ParseError) else None
         return "error", type(exc), str(exc), where
-
-
-def _tokens(text):
-    return _tokenize(text)[0]
 
 
 def assert_same(parse, text):
@@ -244,7 +240,6 @@ def test_update_reads_like_the_character_loop(text):
 @given(_query_texts)
 @settings(max_examples=100, deadline=None)
 def test_query_reads_like_the_character_loop(text):
-    assert_same(_tokens, text)
     assert_same(parse_select, text)
 
 

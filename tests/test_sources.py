@@ -2,11 +2,14 @@
 
 from __future__ import annotations
 
+import gc
 import json
 import os
 import subprocess
 import sys
+from http.server import ThreadingHTTPServer
 from pathlib import Path
+from urllib.request import urlopen
 
 import pytest
 
@@ -422,6 +425,24 @@ class TestLoadSources:
 def server(doi_data, doi_provenance):
     with SparqlServer(doi_data, doi_provenance) as srv:
         yield srv
+
+
+def test_a_closed_server_leaves_no_reference_cycle(doi_data, doi_provenance):
+    gc.collect()
+    gc.disable()
+    try:
+        with SparqlServer(doi_data, doi_provenance) as srv:
+            with urlopen(srv.url, data=b"query=SELECT+*+WHERE+%7B+%3Fs+%3Fp+%3Fo+%7D") as reply:
+                assert reply.status == 200
+        del srv
+        gc.set_debug(gc.DEBUG_SAVEALL)
+        gc.collect()
+        leaked = [o for o in gc.garbage if isinstance(o, (SparqlServer, ThreadingHTTPServer))]
+        assert not leaked, f"{len(leaked)} unreachable servers"
+    finally:
+        gc.set_debug(0)
+        gc.garbage.clear()
+        gc.enable()
 
 
 @pytest.fixture()

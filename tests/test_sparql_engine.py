@@ -190,6 +190,17 @@ class TestParseSelect:
         with pytest.raises(ParseError):
             parse_select("SELECT ?s WHERE { }")
 
+    def test_an_object_term_is_expected_after_a_comma(self):
+        with pytest.raises(ParseError, match="expected an object term") as err:
+            parse_select("SELECT * WHERE { ?s ?p ?o , }")
+        assert (err.value.line, err.value.column) == (1, 29)
+
+    def test_the_first_of_two_faults_is_reported(self):
+        # the text is read front to back: ASK is refused before the
+        # unterminated string after it is reached
+        with pytest.raises(UnsupportedFeature, match="ASK"):
+            parse_select('ASK { "abc')
+
     def test_optionalals_may_not_share_an_unbound_variable(self):
         # two optional groups meeting only in ?x would need a real join
         # between left-joined parts, which the evaluator does not do
@@ -251,6 +262,11 @@ class TestParseUpdate:
         assert [(q.predicate.value, q.object.value) for q in parse_update(text).inserts] == [
             ("http://a/p", "http://a/o1"), ("http://a/p", "http://a/o2"), ("http://a/q", "x"),
         ]
+
+    def test_an_object_term_is_expected_after_a_comma(self):
+        with pytest.raises(ParseError, match="expected an object term") as err:
+            parse_update("INSERT DATA { <http://a/s> <http://a/p> <http://a/o> , }")
+        assert (err.value.line, err.value.column) == (1, 56)
 
     def test_variables_rejected(self):
         with pytest.raises(VariableInDelta):
