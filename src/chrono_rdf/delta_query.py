@@ -9,11 +9,14 @@ are not materialised; their identity is all a change report needs.
 
 Each record carries the net change of that snapshot for that entity:
 what the update inserted minus what it deleted, and the reverse.  A
-snapshot that leaves the entity with no quads at all marks a deletion;
-that is verified by rebuilding the candidate version, which only happens
-when the update inserted nothing.  All of an entity's candidates are
-rebuilt by one walk down its chain, from the newest version to the
-oldest candidate.
+snapshot that leaves the entity with no quads at all marks a deletion,
+and only a snapshot whose update inserted nothing can do that.  Such a
+candidate k is decided from the history where it can be: the chain
+walk's rule V(k) = (V(k+1) - inserts(k+1)) | deletes(k+1) keeps every
+quad the next update deletes, so V(k) is not empty when that update
+deletes something, and the latest version is the entity's live quads.
+The candidates left undecided are rebuilt by one walk down the chain,
+from the newest version to the oldest of them.
 """
 
 from __future__ import annotations
@@ -24,7 +27,7 @@ from typing import Iterable
 
 # perfbench/spans.py hooks the chain walker under the name cached_chain
 from .materializer import _chain as cached_chain
-from .materializer import TimeInterval, UNBOUNDED, select
+from .materializer import TimeInterval, UNBOUNDED, current_graph, select
 from .provenance import Delta, DeltaPair, EntityHistory, Snapshot
 from .rdf_model import GraphSet
 from .sources import Context
@@ -93,6 +96,28 @@ def get_delta(
     return net_pair(snap.update)
 
 
+def _emptied(
+    entity: str, ctx: Context, history: EntityHistory, candidates: list[int]
+) -> set[int]:
+    """Which of the candidate snapshot indices, given oldest first, mark
+    a version that holds no quads.
+
+    A version the next update deletes from is never empty.  The others
+    are read from the live quads when only the latest is left, and
+    otherwise from one walk down to the oldest of them.
+    """
+    snaps = history.snapshots
+    latest = len(snaps) - 1
+    undecided = [k for k in candidates if k == latest or not snaps[k + 1].update.deletes]
+    if not undecided:
+        return set()
+    data = ctx.entity_quads(entity)
+    if undecided[0] == latest:
+        return set() if current_graph(entity, data) else {latest}
+    graphs = cached_chain(entity, data, history, undecided[0])
+    return {k for k in undecided if not graphs[k]}
+
+
 @dataclass(frozen=True)
 class DeltaQueryOutcome:
     report: ChangeReport
@@ -124,20 +149,18 @@ def execute_delta_query(
             if wanted and not touches(snap.update, wanted):
                 continue
             changes.append((k, snap, net_pair(snap.update)))
-        # nothing inserted: the version may have been emptied out; one walk
-        # down to the oldest such snapshot rebuilds every one of them
-        emptied = [k for k, _snap, pair in changes if not pair.added and pair.removed]
-        graphs_map: dict[int, GraphSet] = {}
-        if emptied:
-            graphs_map = cached_chain(entity, ctx.entity_quads(entity), history, min(emptied))
+        # nothing inserted: the version may have been emptied out
+        deleted = _emptied(
+            entity, ctx, history,
+            [k for k, _snap, pair in changes if not pair.added and pair.removed],
+        )
         for k, snap, pair in changes:
-            deleted = not pair.added and pair.removed and not graphs_map[k]
             records.append(
                 ChangeRecord(
                     entity=entity,
                     snapshot=snap.id,
                     time=snap.generated_at,
-                    kind="deleted" if deleted else "modified",
+                    kind="deleted" if k in deleted else "modified",
                     description=snap.description,
                     attributed_to=snap.attributed_to,
                     delta=pair,

@@ -19,6 +19,7 @@ application; tests use it to pin down the chaining behaviour.
 
 from __future__ import annotations
 
+from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 from datetime import datetime
 from typing import Callable, Iterable, Sequence
@@ -160,16 +161,21 @@ def select(
     With `at`, the one version live at that instant, none before the
     entity's creation.  Otherwise every version whose time falls in the
     interval, plus, with `boundary`, the one live when the interval opens.
+    Snapshot times are sorted, so the versions in the interval are one
+    run of indices, found by bisecting history.times.
     """
     if at is not None:
         k = history.index_at(at)
         return () if k is None else (k,)
-    live = None
-    if boundary and interval.start is not None:
-        live = history.index_at(interval.start)
-    return tuple(
-        k for k, s in enumerate(history.snapshots) if k == live or s.generated_at in interval
-    )
+    times, start, end = history.times, interval.start, interval.end
+    lo = 0 if start is None else bisect_left(times, start)
+    hi = len(times) if end is None else bisect_right(times, end)
+    if boundary and start is not None:
+        live = history.index_at(start)
+        if live is not None and live < lo:
+            # no snapshot falls at the start: the live one precedes the run
+            return (live, *range(lo, hi))
+    return tuple(range(lo, hi))
 
 
 def rebuild(

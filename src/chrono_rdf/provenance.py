@@ -16,6 +16,7 @@ converted, fractional seconds are truncated.
 from __future__ import annotations
 
 import hashlib
+from bisect import bisect_right
 from dataclasses import dataclass, field
 from datetime import datetime, timezone
 from typing import Callable, Iterable, Sequence
@@ -166,10 +167,18 @@ class Snapshot:
 
 @dataclass(frozen=True)
 class EntityHistory:
-    """All snapshots of one entity, oldest first."""
+    """All snapshots of one entity, oldest first.
+
+    times holds the snapshots' generation times in the same order, so a
+    time can be placed among them by bisection.
+    """
 
     entity: str
     snapshots: tuple[Snapshot, ...]
+    times: tuple[datetime, ...] = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self) -> None:
+        object.__setattr__(self, "times", tuple(s.generated_at for s in self.snapshots))
 
     def __len__(self) -> int:
         return len(self.snapshots)
@@ -189,14 +198,11 @@ class EntityHistory:
         raise NoSuchSnapshot(f"<{snapshot_id}> is not a snapshot of <{self.entity}>")
 
     def index_at(self, when: datetime) -> int | None:
-        """Index of the newest snapshot generated at or before `when`."""
-        found = None
-        for k, snap in enumerate(self.snapshots):
-            if snap.generated_at <= when:
-                found = k
-            else:
-                break
-        return found
+        """Index of the newest snapshot generated at or before `when`, or
+        None when `when` predates them all.  Of snapshots that share a
+        time, the last in chain order is the newest."""
+        k = bisect_right(self.times, when) - 1
+        return None if k < 0 else k
 
 
 def _scope_label(scope: str) -> str:

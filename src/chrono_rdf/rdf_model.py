@@ -448,7 +448,9 @@ def read_iri_term(sc: Scanner, terms: TermTable, relative: str) -> Term:
         raise sc.error(relative.format(value)) from None
 
 
-_NUMBER = re.compile(r"[+-]?(\d+\.\d*|\.\d+|\d+)([eE][+-]?\d+)?")
+# Turtle's and SPARQL's numbers: a double has an exponent, a decimal a digit
+# after its point, so in "42." the point ends the statement
+_NUMBER = re.compile(r"[+-]?(?:(?:\d+\.\d*|\.\d+|\d+)([eE][+-]?\d+)|\d*\.\d+|\d+)")
 
 
 def read_number(sc: Scanner) -> tuple[str, str, None]:
@@ -458,7 +460,7 @@ def read_number(sc: Scanner) -> tuple[str, str, None]:
         raise sc.error("malformed numeric literal")
     lexical = m.group(0)
     sc.pos = m.end()
-    if m.group(2):
+    if m.group(1):
         dt = XSD_DOUBLE
     elif "." in lexical:
         dt = XSD_DECIMAL

@@ -33,7 +33,6 @@ from typing import Callable, Iterable, Iterator, Mapping
 
 from .errors import (
     BadRegex,
-    ParseError,
     PrefixInDelta,
     UnknownPrefix,
     UnsupportedFeature,
@@ -432,6 +431,7 @@ def parse_select(text: str) -> ParsedQuery:
             raise UnsupportedFeature(_UNSUPPORTED_IN_GROUP[keyword])
         else:
             _read_statement(sc, read_term, patterns, None)
+    closing = sc.pos
     sc.pos += 1
 
     sc.skip_space()
@@ -442,7 +442,7 @@ def parse_select(text: str) -> ParsedQuery:
         raise sc.error("trailing content after the query")
 
     if not patterns:
-        raise ParseError("query has no triple patterns")
+        raise sc.error("query has no triple patterns", closing)
 
     bound = {v for p in patterns for v in p.variables()}
     for f in filters:

@@ -4,7 +4,7 @@ from __future__ import annotations
 
 import pytest
 
-from chrono_rdf import GraphSet, iri, literal, quad, serialize
+from chrono_rdf import GraphSet, iri, literal, quad, render_update, serialize
 from chrono_rdf.benchgen import GenSpec, GeneratedWorld, generate
 
 BASE = "https://opencitations.example/"
@@ -115,6 +115,61 @@ DOI_DATA_TURTLE = f"""\
     datacite:usesIdentifierScheme datacite:doi ;
     literal:hasLiteralValue "{RIGHT_DOI}"^^xsd:string .
 """
+
+
+# Entities whose updates only delete, as a delta report sees them.  Each
+# history is (time, version) pairs; its stored updates are the diffs.
+EMPTIED = "https://emptied.example/"
+EMPTIED_TIMES = [f"2022-03-0{d}T00:00:00" for d in range(1, 6)]
+
+
+def _emptied_quad(entity: str, name: str):
+    return quad(iri(entity), iri(EMPTIED + "p/" + name), literal(name), EMPTIED + "g/")
+
+
+def _emptied_history(entity: str, *versions: str) -> list[tuple[str, frozenset]]:
+    """(time, version) pairs, each version named by its quads' letters."""
+    return [
+        (when, frozenset(_emptied_quad(entity, name) for name in names))
+        for when, names in zip(EMPTIED_TIMES, versions)
+    ]
+
+
+# the update after snapshot 2 deletes, so version 2 is decided without a
+# walk; the update after snapshot 3 only inserts, so version 3 (empty) is
+# walked to; snapshot 5 empties the entity again
+EMPTIED_WALKED = EMPTIED + "br/walked"
+# snapshot 2 is the latest and empties the entity: the live data decides
+EMPTIED_LIVE = EMPTIED + "br/live"
+# version 2 is decided by the deletes after it, version 3 by the live data
+EMPTIED_KEPT = EMPTIED + "br/kept"
+EMPTIED_VERSIONS = {
+    EMPTIED_WALKED: _emptied_history(EMPTIED_WALKED, "ab", "b", "", "c", ""),
+    EMPTIED_LIVE: _emptied_history(EMPTIED_LIVE, "a", ""),
+    EMPTIED_KEPT: _emptied_history(EMPTIED_KEPT, "abc", "bc", "c"),
+}
+
+
+def _emptied_provenance() -> GraphSet:
+    g = EMPTIED + "prov/"
+    quads = set()
+    for entity, timeline in EMPTIED_VERSIONS.items():
+        previous = frozenset()
+        for n, (when, version) in enumerate(timeline, 1):
+            se = iri(f"{entity}/prov/se/{n}")
+            quads.add(quad(se, iri(PROV + "specializationOf"), iri(entity), g))
+            quads.add(quad(se, iri(PROV + "generatedAtTime"), literal(when, XSD_DATETIME), g))
+            if n > 1:
+                update = render_update(sorted(previous - version), sorted(version - previous))
+                derived = iri(f"{entity}/prov/se/{n - 1}")
+                quads.add(quad(se, iri(PROV + "wasDerivedFrom"), derived, g))
+                quads.add(quad(se, iri(HAS_UPDATE), literal(update), g))
+            previous = version
+    return frozenset(quads)
+
+
+EMPTIED_DATA = frozenset(q for timeline in EMPTIED_VERSIONS.values() for q in timeline[-1][1])
+EMPTIED_PROVENANCE = _emptied_provenance()
 
 
 @pytest.fixture()

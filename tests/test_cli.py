@@ -518,6 +518,16 @@ class TestExitCodes:
         assert code == 4
         assert json.loads(captured.err)["error"] == "UnboundedQuery"
 
+    def test_query_without_patterns_names_its_place(self, capsys, config_path, monkeypatch):
+        monkeypatch.setattr("sys.stdin", stdin(b"SELECT ?s WHERE { }"))
+        code = main(["--config", config_path, "query", "--file", "-"])
+        captured = capsys.readouterr()
+        assert code == 4
+        assert json.loads(captured.err) == {
+            "error": "ParseError",
+            "message": "line 1, column 19: query has no triple patterns",
+        }
+
     @pytest.fixture()
     def query_argv(self, config_path, tmp_path):
         path = tmp_path / "value.rq"

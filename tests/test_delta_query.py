@@ -6,6 +6,12 @@ import pytest
 
 from conftest import (
     BR,
+    EMPTIED_DATA,
+    EMPTIED_KEPT,
+    EMPTIED_LIVE,
+    EMPTIED_PROVENANCE,
+    EMPTIED_VERSIONS,
+    EMPTIED_WALKED,
     FIXED_AT,
     HAS_VALUE,
     ID,
@@ -199,22 +205,51 @@ class TestGeneratedWorldReport:
         ]
 
 
+@pytest.fixture()
+def walks(monkeypatch):
+    """(entity, floor, quad test) of every chain walk, in order."""
+    seen: list[tuple] = []
+    walk = materializer._chain
+
+    def counted(entity, data, history, floor, reads=None):
+        seen.append((entity, floor, reads))
+        return walk(entity, data, history, floor, reads)
+
+    monkeypatch.setattr(materializer, "_chain", counted)
+    monkeypatch.setattr(delta_query, "cached_chain", counted)
+    return seen
+
+
+class TestDeletedCheck:
+    """A version emptied out is decided from the history where it can be:
+    the next update's deletes keep it non-empty, and the latest version
+    is the live data.  Only the rest are rebuilt, by one walk."""
+
+    @pytest.mark.parametrize(
+        "entity, walked",
+        [(EMPTIED_WALKED, [(EMPTIED_WALKED, 2, None)]), (EMPTIED_LIVE, []), (EMPTIED_KEPT, [])],
+    )
+    def test_kinds_match_the_ledger_and_only_the_undecided_are_walked(
+        self, walks, entity, walked
+    ):
+        ctx = memory_context(EMPTIED_DATA, EMPTIED_PROVENANCE)
+        outcome = execute_delta_query(f"SELECT ?p ?o WHERE {{ <{entity}> ?p ?o }}", ctx)
+        timeline = EMPTIED_VERSIONS[entity]
+        times = [parse_timestamp(when) for when, _version in timeline]
+        versions = [version for _when, version in timeline]
+        expected = [
+            (t, "deleted" if not versions[k] else "modified", added, removed)
+            for k, (t, added, removed) in enumerate(version_diffs(times, versions), 1)
+        ]
+        got = [(r.time, r.kind, r.delta.added, r.delta.removed) for r in outcome.report]
+        assert got == expected
+        # the walk goes down to version 3 of the walked entity, not to
+        # version 2, the oldest version whose update inserted nothing
+        assert walks == walked
+
+
 class TestDiscoveryWalks:
     """In delta mode discovery walks a chain only to chase a subject variable."""
-
-    @pytest.fixture()
-    def walks(self, monkeypatch):
-        """(entity, quad test) of every chain walk, in order."""
-        seen: list[tuple] = []
-        walk = materializer._chain
-
-        def counted(entity, data, history, floor, reads=None):
-            seen.append((entity, reads))
-            return walk(entity, data, history, floor, reads)
-
-        monkeypatch.setattr(materializer, "_chain", counted)
-        monkeypatch.setattr(delta_query, "cached_chain", counted)
-        return seen
 
     def test_no_subject_variable_leaves_only_the_deleted_check(self, small_world, walks):
         entity = next(
@@ -226,8 +261,18 @@ class TestDiscoveryWalks:
         outcome = execute_delta_query(text, small_world.context())
         assert outcome.relevant_entities == {entity}
         assert any(r.kind == "deleted" for r in outcome.report)
-        # the check rebuilds full versions; discovery walked nothing
-        assert walks == [(entity, None)]
+        # versions whose update only deleted: the latest is read from the
+        # live data, one the next update deletes from is not empty, and
+        # one walk down to the oldest of the rest decides them
+        truth = small_world.ledger.entities[entity]
+        emptying = [k for k, s in enumerate(truth.snapshots) if k and s.removed and not s.added]
+        undecided = [
+            k for k in emptying
+            if k + 1 < len(truth.snapshots) and not truth.snapshots[k + 1].removed
+        ]
+        assert undecided[0] > emptying[0]
+        # discovery walked nothing
+        assert walks == [(entity, undecided[0], None)]
 
     def test_a_subject_variable_is_still_chased(self, small_world, walks):
         seed = next(
@@ -236,6 +281,6 @@ class TestDiscoveryWalks:
             if any(q.predicate.value == CITO_CITES for v in t.versions for q in v)
         )
         outcome = execute_delta_query(known_subject_query(seed), small_world.context())
-        entity, reads = walks[0]
+        entity, _floor, reads = walks[0]
         assert entity == seed and reads is not None
         assert outcome.relevant_entities > {seed}

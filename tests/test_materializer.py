@@ -154,6 +154,9 @@ class TestSelect:
         assert select(history, interval, boundary, at) == oracle_select(
             history, interval, boundary, at
         )
+        if at is not None:
+            k = history.index_at(at)
+            assert (() if k is None else (k,)) == oracle_select(history, at=at)
 
 
 class TestDoiCorrection:

@@ -356,6 +356,17 @@ class TestParseTurtle:
         values = {q.object.datatype.rsplit("#", 1)[1] for q in parse_turtle(text)}
         assert values == {"integer", "decimal", "boolean"}
 
+    @pytest.mark.parametrize("text, value, datatype", [
+        ("42.", "42", "integer"),  # the point ends the statement
+        ("4.2 .", "4.2", "decimal"),
+        (".5 .", ".5", "decimal"),
+        ("42.e1 .", "42.e1", "double"),
+        ("1E3 .", "1E3", "double"),
+    ])
+    def test_numbers_follow_the_grammar(self, text, value, datatype):
+        (q,) = parse_turtle(f"<http://a/s> <http://a/p> {text}")
+        assert (q.object.value, q.object.datatype.rsplit("#", 1)[1]) == (value, datatype)
+
     def test_property_list_unsupported(self):
         with pytest.raises(ParseError):
             parse_turtle("<http://s.example/> <http://p.example/> [ <http://q.example/> 1 ] .")

@@ -32,6 +32,8 @@ from chrono_rdf.sparql_engine import Variable
 
 from oracles import brute_evaluate, solutions_counter
 
+XSD_INTEGER = "http://www.w3.org/2001/XMLSchema#integer"
+
 EX = "http://ex.example/"
 
 
@@ -187,8 +189,14 @@ class TestParseSelect:
             parse_select('SELECT ?s WHERE { ?s ?p ?o . FILTER LANGMATCHES(?o, "en") }')
 
     def test_no_patterns_rejected(self):
-        with pytest.raises(ParseError):
+        with pytest.raises(ParseError, match="query has no triple patterns") as err:
             parse_select("SELECT ?s WHERE { }")
+        # at the group's closing brace
+        assert (err.value.line, err.value.column) == (1, 19)
+
+    def test_a_point_after_an_integer_ends_the_pattern(self):
+        (pattern,) = parse_select("SELECT * WHERE { ?s ?p 42. }").patterns
+        assert pattern.object == literal("42", XSD_INTEGER)
 
     def test_an_object_term_is_expected_after_a_comma(self):
         with pytest.raises(ParseError, match="expected an object term") as err:
@@ -267,6 +275,10 @@ class TestParseUpdate:
         with pytest.raises(ParseError, match="expected an object term") as err:
             parse_update("INSERT DATA { <http://a/s> <http://a/p> <http://a/o> , }")
         assert (err.value.line, err.value.column) == (1, 56)
+
+    def test_a_point_after_an_integer_ends_the_triple(self):
+        (q,) = parse_update("INSERT DATA { <http://a/s> <http://a/p> 42. }").inserts
+        assert q.object == literal("42", XSD_INTEGER)
 
     def test_variables_rejected(self):
         with pytest.raises(VariableInDelta):
